@@ -5,9 +5,9 @@
 
 Times three pure simulator loops on both the overhauled
 :mod:`repro.sim.engine` and the frozen pre-overhaul copy in
-:mod:`repro.sim.engine_reference` (imported directly — no environment
-switch needed), plus one full-stack loop (fio ops through a whole
-``Machine``) on each engine via a ``REPRO_ENGINE`` subprocess:
+``tests/sim/engine_reference.py``, plus one full-stack loop (fio ops
+through a whole ``Machine``) on each engine in a subprocess that is
+told which engine to bind:
 
 - ``pure-timeout``   — one process yielding a constant timeout N times:
   the no-observer fast path plus the current-bucket queue, nothing else;
@@ -36,8 +36,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
-from repro.sim import engine, engine_reference  # noqa: E402
+from tests.sim import engine_reference  # noqa: E402
 
 SCHEMA = "engine-bench/v1"
 
@@ -83,8 +84,8 @@ def event_churn(sim_cls, n: int) -> int:
 
 
 def full_stack(n: int) -> int:
-    """fio ops through the whole machine on the *active* engine (the
-    one ``REPRO_ENGINE`` selects for this interpreter)."""
+    """fio ops through the whole machine on the engine this interpreter
+    bound as ``repro.sim.engine``."""
     from repro import GiB, Machine
     from repro.apps.fio import FioJob, run_fio
 
@@ -104,17 +105,14 @@ def _time(fn, *args) -> tuple:
     return ops, dt, ops / dt if dt > 0 else float("inf")
 
 
-def _full_stack_subprocess(reference: bool, n: int) -> float:
+def _full_stack_subprocess(engine: str, n: int) -> float:
     """ops/sec for the full-stack loop in a fresh interpreter, so the
-    ``REPRO_ENGINE`` switch can select the engine Machine binds to."""
+    engine ("new" or "reference") binds before Machine is imported."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("REPRO_ENGINE", None)
-    if reference:
-        env["REPRO_ENGINE"] = "reference"
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()),
-         "--inner-full-stack", str(n)],
+         "--inner-full-stack", engine, str(n)],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
         timeout=1800, check=True)
     return float(proc.stdout.strip())
@@ -136,14 +134,21 @@ def main(argv=None) -> int:
                          "are warmup-dominated and read as noise)")
     ap.add_argument("--json", type=Path, default=None,
                     help="write the artifact JSON here as well")
-    ap.add_argument("--inner-full-stack", type=int, default=None,
-                    help=argparse.SUPPRESS)
+    ap.add_argument("--inner-full-stack", nargs=2, default=None,
+                    metavar=("ENGINE", "OPS"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.inner_full_stack is not None:
-        ops, dt, rate = _time(full_stack, args.inner_full_stack)
+        engine_name, n = args.inner_full_stack
+        if engine_name == "reference":
+            # Before anything imports repro: the whole stack then runs
+            # on the frozen engine.
+            sys.modules["repro.sim.engine"] = engine_reference
+        ops, dt, rate = _time(full_stack, int(n))
         print(f"{rate:.1f}")
         return 0
+
+    from repro.sim import engine
 
     rows = []
     for name, fn in PURE_LOOPS:
@@ -153,8 +158,8 @@ def main(argv=None) -> int:
                      "new_ops_per_sec": round(new_rate, 1),
                      "ref_ops_per_sec": round(ref_rate, 1),
                      "speedup": round(new_rate / ref_rate, 2)})
-    new_fs = _full_stack_subprocess(False, args.full_stack_ops)
-    ref_fs = _full_stack_subprocess(True, args.full_stack_ops)
+    new_fs = _full_stack_subprocess("new", args.full_stack_ops)
+    ref_fs = _full_stack_subprocess("reference", args.full_stack_ops)
     rows.append({"name": "full-stack", "ops": args.full_stack_ops,
                  "new_ops_per_sec": round(new_fs, 1),
                  "ref_ops_per_sec": round(ref_fs, 1),

@@ -45,7 +45,6 @@ __all__ = [
     "FRIEND_EDGES",
     "HOT_ENTRY_POINTS",
     "ORACLE_MODULES",
-    "FROZEN_MODULES",
     "ATTRIBUTION_MODULES",
     "default_manifest",
 ]
@@ -94,7 +93,6 @@ class Manifest:
     friends: Tuple[FriendEdge, ...] = ()
     hot_entries: Tuple[str, ...] = ()    # "pkg.mod:Class.method" qualnames
     oracle_modules: Tuple[str, ...] = ()  # module names held to purity
-    frozen_modules: Tuple[str, ...] = ()  # test oracles: never report in
     attribution_modules: Tuple[str, ...] = ()  # observers held to purity
 
     _layer_cache: Dict[str, Optional[str]] = field(
@@ -236,15 +234,6 @@ HOT_ENTRY_POINTS: Tuple[str, ...] = (
     "repro.sim.engine:Event.fail",
 )
 
-# Modules frozen as test oracles: verbatim historical code kept only so
-# differential harnesses can compare behaviour against it.  simlint
-# parses them (imports still feed the graph) but reports no violations
-# inside them — fixing lint findings in a frozen oracle would defeat
-# its purpose.
-FROZEN_MODULES: Tuple[str, ...] = (
-    "repro.sim.engine_reference",
-)
-
 # Modules whose functions must be pure observers (SIM017).
 ORACLE_MODULES: Tuple[str, ...] = ("repro.chaos.oracles",)
 
@@ -285,6 +274,5 @@ def default_manifest() -> Manifest:
         friends=FRIEND_EDGES,
         hot_entries=HOT_ENTRY_POINTS,
         oracle_modules=ORACLE_MODULES,
-        frozen_modules=FROZEN_MODULES,
         attribution_modules=ATTRIBUTION_MODULES,
     )

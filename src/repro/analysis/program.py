@@ -1152,13 +1152,6 @@ def analyze_program(program: Program,
     _check_oracle_purity(result)
     _check_attribution_purity(result)
     _check_hot_allocations(result)
-    if manifest.frozen_modules:
-        frozen_paths = {
-            mod.path for mod in program.modules.values()
-            if mod.name in manifest.frozen_modules
-        }
-        result.violations = [v for v in result.violations
-                             if v.path not in frozen_paths]
     result.violations.sort(
         key=lambda v: (v.path, v.line, v.rule.id, v.message))
     return result
@@ -1293,5 +1286,4 @@ def export_json(program: Program,
              "why": f.why}
             for f in manifest.friends],
         "hot_entries": list(manifest.hot_entries),
-        "frozen_modules": list(manifest.frozen_modules),
     }, indent=2, sort_keys=False)

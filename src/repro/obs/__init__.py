@@ -9,16 +9,15 @@ Three pieces (see ``docs/observability.md``):
   :class:`repro.sim.trace.Tracer`: Chrome ``trace_event`` JSON
   (loadable in Perfetto), collapsed-stack flamegraphs, span-tree
   fingerprints and a pretty-printer.
-* :mod:`repro.obs.perf` — the pinned workload matrix behind
-  ``scripts/perf_track.py`` and the span-measured Table 1 / Figure 7
+* :mod:`repro.obs.perf` — the span-measured Table 1 / Figure 7
   breakdown.  (Import it as ``repro.obs.perf``; it is not imported
   here to keep ``repro.machine`` ↔ ``repro.obs`` import-cycle free.)
 * :mod:`repro.obs.monitor` — the continuous-telemetry sampler:
   deterministic time-series gauges across every layer plus declarative
   SLO monitors with edge-triggered breach events.
 * :mod:`repro.obs.diff` — run-to-run regression attribution: aligned
-  span-tree diffing of two trace/metrics dumps, per-layer deltas and
-  retry attribution (``scripts/trace_diff.py``).
+  span-tree diffing of two trace dumps, per-layer deltas and retry
+  attribution (``scripts/trace_diff.py``).
 * :mod:`repro.obs.attribution` — per-op latency waterfalls: the exact
   wait/service decomposition of every operation's span tree.
 * :mod:`repro.obs.exemplar` — tail exemplars: full span trees and

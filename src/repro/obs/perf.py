@@ -1,14 +1,13 @@
-"""Span-measured latency breakdowns and the perf-tracking matrix.
+"""Span-measured latency breakdowns.
 
 :func:`measure_breakdown` is the one code path behind the paper-facing
 latency attribution: it runs a fio-shaped loop on a traced machine
 with a *clean measurement window* (setup, open and warm-up happen
 before ``tracer.clear()``), then aggregates real spans into per-op
 layer times.  ``bench.experiments.table1_latency_breakdown`` and
-``fig7_latency_breakdown`` build their tables from it, and
-``scripts/perf_track.py`` runs the pinned :data:`PERF_MATRIX` through
-it to write/compare ``BENCH_perf.json`` so CI flags latency-attribution
-drift.
+``fig7_latency_breakdown`` build their tables from it.  Drift in the
+per-layer split is the sweep gate's to catch (``repro.sweep.compare``
+judges every layer's self time exactly).
 
 Attribution rules (all in ns/op over the measurement window):
 
@@ -21,28 +20,23 @@ Attribution rules (all in ns/op over the measurement window):
 * ``layers`` — per-label means of the intra-kernel spans
   (``mode-switch-enter``, ``vfs-ext4``, ``block-layer``,
   ``nvme-driver``, ``mode-switch-exit``).
-
-Everything is deterministic for a fixed seed, so ``--check`` compares
-exactly by default.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..hw.params import GiB, MiB
 from ..machine import Machine
-from ..sim.stats import percentile
 
-__all__ = ["PerfConfig", "Breakdown", "PERF_MATRIX", "QUICK_MATRIX",
-           "measure_breakdown", "collect_perf", "compare_perf"]
+__all__ = ["PerfConfig", "Breakdown", "measure_breakdown"]
 
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """One pinned workload of the perf-tracking matrix."""
+    """One pinned workload for :func:`measure_breakdown`."""
 
     name: str
     engine: str = "sync"
@@ -53,35 +47,15 @@ class PerfConfig:
     seed: int = 42
 
 
-PERF_MATRIX: Sequence[PerfConfig] = (
-    PerfConfig("sync-4k-randread", engine="sync"),
-    PerfConfig("io_uring-4k-randread", engine="io_uring", ops=32),
-    PerfConfig("bypassd-4k-randread", engine="bypassd"),
-    PerfConfig("bypassd-128k-randread", engine="bypassd",
-               block_size=128 * 1024, ops=24),
-    PerfConfig("bypassd-4k-randwrite", engine="bypassd", rw="randwrite"),
-)
-
-# Tiny matrix for smoke tests (scripts/perf_track.py --quick).
-QUICK_MATRIX: Sequence[PerfConfig] = (
-    PerfConfig("quick-sync-4k-randread", engine="sync", ops=8,
-               file_size=1 * MiB),
-    PerfConfig("quick-bypassd-4k-randread", engine="bypassd", ops=8,
-               file_size=1 * MiB),
-)
-
-
 @dataclass
 class Breakdown:
     """Aggregated, span-measured result of one workload."""
 
-    config: PerfConfig
     samples: List[int] = field(default_factory=list)
     user_ns: float = 0.0
     kernel_ns: float = 0.0
     device_ns: float = 0.0
     layers: Dict[str, float] = field(default_factory=dict)
-    sim_end_ns: int = 0
 
     @property
     def ops(self) -> int:
@@ -90,45 +64,6 @@ class Breakdown:
     @property
     def mean_ns(self) -> float:
         return sum(self.samples) / len(self.samples)
-
-    @property
-    def p50_ns(self) -> int:
-        return percentile(self.samples, 50)
-
-    @property
-    def p99_ns(self) -> int:
-        return percentile(self.samples, 99)
-
-    @property
-    def shares(self) -> Dict[str, float]:
-        total = self.mean_ns
-        if total <= 0:
-            return {"user": 0.0, "kernel": 0.0, "device": 0.0}
-        return {
-            "user": self.user_ns / total,
-            "kernel": self.kernel_ns / total,
-            "device": self.device_ns / total,
-        }
-
-    def to_dict(self) -> Dict:
-        c = self.config
-        return {
-            "engine": c.engine,
-            "rw": c.rw,
-            "block_size": c.block_size,
-            "ops": self.ops,
-            "mean_ns": round(self.mean_ns, 3),
-            "p50_ns": self.p50_ns,
-            "p99_ns": self.p99_ns,
-            "user_ns": round(self.user_ns, 3),
-            "kernel_ns": round(self.kernel_ns, 3),
-            "device_ns": round(self.device_ns, 3),
-            "layers": {k: round(v, 3)
-                       for k, v in sorted(self.layers.items())},
-            "shares": {k: round(v, 4)
-                       for k, v in sorted(self.shares.items())},
-            "sim_end_ns": self.sim_end_ns,
-        }
 
 
 def measure_breakdown(config: PerfConfig,
@@ -149,7 +84,7 @@ def measure_breakdown(config: PerfConfig,
     m.run_process(
         materialize_file(m, proc, engine, path, config.file_size))
     thread = proc.new_thread("perf-0")
-    out = Breakdown(config=config)
+    out = Breakdown()
     is_write = config.rw in ("randwrite", "write")
     spdk = config.engine == "spdk"
 
@@ -196,72 +131,9 @@ def measure_breakdown(config: PerfConfig,
     out.layers = {label: ns / ops
                   for label, ns in sorted(
                       tracer.by_label("kernel").items())}
-    out.sim_end_ns = m.now
 
     # Fold the window's latencies into the machine's metrics registry
     # so exports see the same numbers the table reports.
     hist = m.metrics.histogram(f"perf.{config.name}.lat_ns")
     hist.record_many(out.samples)
     return out
-
-
-def collect_perf(matrix: Sequence[PerfConfig] = PERF_MATRIX,
-                 names: Optional[Sequence[str]] = None) -> Dict:
-    """Run the matrix and return the ``BENCH_perf.json`` payload."""
-    selected = [c for c in matrix
-                if names is None or c.name in names]
-    if names is not None:
-        missing = sorted(set(names) - {c.name for c in selected})
-        if missing:
-            raise ValueError(f"unknown perf config(s): {missing}")
-    workloads = {}
-    for config in selected:
-        workloads[config.name] = measure_breakdown(config).to_dict()
-    return {
-        "schema": 1,
-        "note": "Span-measured latency attribution for the pinned "
-                "workload matrix; regenerate with "
-                "scripts/perf_track.py --write",
-        "workloads": workloads,
-    }
-
-
-def _flatten(value, prefix: str, out: Dict[str, object]) -> None:
-    if isinstance(value, dict):
-        for key in sorted(value):
-            _flatten(value[key], f"{prefix}.{key}" if prefix else key,
-                     out)
-    else:
-        out[prefix] = value
-
-
-def compare_perf(expected: Dict, actual: Dict,
-                 tolerance: float = 0.0) -> List[str]:
-    """Compare two payloads; returns drift messages (empty = pass).
-
-    ``tolerance`` is a relative bound for numeric fields (0.0 = exact,
-    valid because same-seed runs are deterministic).
-    """
-    flat_e: Dict[str, object] = {}
-    flat_a: Dict[str, object] = {}
-    _flatten(expected.get("workloads", {}), "", flat_e)
-    _flatten(actual.get("workloads", {}), "", flat_a)
-    problems: List[str] = []
-    for key in sorted(set(flat_e) | set(flat_a)):
-        if key not in flat_a:
-            problems.append(f"missing from current run: {key}")
-            continue
-        if key not in flat_e:
-            problems.append(f"not in baseline (re-run --write): {key}")
-            continue
-        e, a = flat_e[key], flat_a[key]
-        if isinstance(e, (int, float)) and isinstance(a, (int, float)):
-            bound = tolerance * max(abs(e), abs(a))
-            if abs(e - a) > bound:
-                problems.append(
-                    f"{key}: baseline {e} vs current {a}"
-                    + (f" (tolerance {tolerance:.2%})" if tolerance
-                       else ""))
-        elif e != a:
-            problems.append(f"{key}: baseline {e!r} vs current {a!r}")
-    return problems

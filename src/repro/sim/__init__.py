@@ -15,7 +15,6 @@ from .cpu import CPUSet, Thread
 from .sanitizer import Diagnostic, EventProvenance, Sanitizer, SanitizerError
 from .trace import NULL_TRACER, NullTracer, Span, Tracer
 from .stats import (
-    BreakdownRecorder,
     LatencyRecorder,
     ThroughputCounter,
     TimeSeries,
@@ -37,7 +36,6 @@ __all__ = [
     "Store",
     "CPUSet",
     "Thread",
-    "BreakdownRecorder",
     "LatencyRecorder",
     "ThroughputCounter",
     "TimeSeries",

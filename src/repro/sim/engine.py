@@ -17,7 +17,7 @@ so the scheduler is organised around four hot-path ideas (see
   heap catches far timers.  Pop order is still exactly ``(time, seq)``
   — the differential harness (``tests/sim/test_engine_diff.py``)
   proves timelines byte-identical against the pre-overhaul single-heap
-  engine kept in :mod:`repro.sim.engine_reference`.
+  engine kept as a test oracle in ``tests/sim/engine_reference.py``.
 - **event/timeout freelists** — processed events that nobody else
   references (checked by refcount) are recycled, so steady-state runs
   allocate near-zero events.  Pooling is disabled under
@@ -31,14 +31,10 @@ so the scheduler is organised around four hot-path ideas (see
   event; ``AllOf``/``AnyOf`` accumulate results incrementally instead
   of rescanning their event list, and detach their callbacks from
   losing events when they trigger.
-
-Set ``REPRO_ENGINE=reference`` in the environment to swap in the
-frozen pre-overhaul engine for differential testing.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
@@ -761,13 +757,3 @@ class Simulator:
     def pending_events(self) -> int:
         return self._count
 
-
-# Differential-timeline escape hatch: with REPRO_ENGINE=reference in the
-# environment, the whole package runs on the frozen pre-overhaul engine
-# so tests/sim/test_engine_diff.py can prove both produce byte-identical
-# timelines.  Never set this outside the differential harness.
-if os.environ.get("REPRO_ENGINE", "") == "reference":   # pragma: no cover
-    from .engine_reference import (     # noqa: F401,F811  (deliberate rebind)
-        AllOf, AnyOf, Condition, Event, Interrupt, Process,
-        SimulationError, Simulator, Timeout,
-    )

@@ -18,7 +18,6 @@ __all__ = [
     "LatencyRecorder",
     "ThroughputCounter",
     "TimeSeries",
-    "BreakdownRecorder",
     "Stats",
     "percentile",
 ]
@@ -219,46 +218,6 @@ class TimeSeries:
             "mean": sum(vals) / len(vals),
             "last": vals[-1],
         }
-
-
-class BreakdownRecorder:
-    """Per-component time accounting (Table 1 / Figure 7 style)."""
-
-    def __init__(self, components: Sequence[str]):
-        self.components = list(components)
-        self.totals: Dict[str, int] = {c: 0 for c in self.components}
-        self.ops = 0
-
-    def record(self, **component_ns: int) -> None:
-        for name, ns in component_ns.items():
-            if name not in self.totals:
-                raise KeyError(f"unknown breakdown component: {name}")
-            self.totals[name] += int(ns)
-        self.ops += 1
-
-    def mean_ns(self, component: str) -> float:
-        if self.ops == 0:
-            raise ValueError("no operations recorded")
-        return self.totals[component] / self.ops
-
-    def mean_us(self, component: str) -> float:
-        return self.mean_ns(component) / NS_PER_US
-
-    def total_mean_ns(self) -> float:
-        if self.ops == 0:
-            raise ValueError("no operations recorded")
-        return sum(self.totals.values()) / self.ops
-
-    def shares(self) -> Dict[str, float]:
-        total = sum(self.totals.values())
-        if total == 0:
-            return {c: 0.0 for c in self.components}
-        return {c: self.totals[c] / total for c in self.components}
-
-    def rows(self) -> List[Tuple[str, float, float]]:
-        """(component, mean ns, share) rows like Table 1."""
-        shares = self.shares()
-        return [(c, self.mean_ns(c), shares[c]) for c in self.components]
 
 
 @dataclass

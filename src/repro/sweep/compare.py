@@ -7,6 +7,14 @@ of tolerance — escalates to :func:`repro.obs.diff.attribute_regression`
 over the records' embedded trace dumps, so the report names the layer
 and wait kind that ate the delta, not just the metric that moved.
 
+Besides the record's metrics, every cell is judged layer by layer: the
+embedded trace folds (:func:`repro.obs.diff.self_times`) into self
+time per span ``category/label`` — ``kernel/block-layer``,
+``nvme/translate``, ... — plus the trace's last ``end_ns``, and the
+``layers`` band compares them.  A 1 ns change to one layer's cost
+moves that layer's self time even where the latency bands absorb it;
+a cost no span covers still moves the trace end.
+
 Tolerance model (per metric, manifest-overridable):
 
 * ``direction: high`` — a *rise* beyond ``max(rel * baseline, abs)``
@@ -14,8 +22,8 @@ Tolerance model (per metric, manifest-overridable):
 * ``direction: low`` — a *fall* beyond the band regresses
   (throughput).
 * ``direction: exact`` — any drift regresses (op counts, retry and
-  injection counters: these are deterministic, so drift means the
-  simulated behaviour changed).
+  injection counters, per-layer self times: these are deterministic,
+  so drift means the simulated behaviour changed).
 
 Moves beyond the band in the *good* direction mark the cell
 ``improved`` — visible in the dashboard, never fatal.  Gate-fatal
@@ -30,7 +38,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.diff import attribute_regression, render_blame, \
-    spans_from_compact
+    self_times, spans_from_compact
 
 __all__ = [
     "RESULTS_SCHEMA",
@@ -39,6 +47,7 @@ __all__ = [
     "GATE_FATAL",
     "resolve_tolerances",
     "flat_metrics",
+    "layer_metrics",
     "compare_cell",
     "compare_results",
     "baseline_from_results",
@@ -65,6 +74,8 @@ DEFAULT_TOLERANCES: Dict[str, Dict[str, Any]] = {
     "retries": {"direction": "exact"},
     "faults_injected": {"direction": "exact"},
     "slo_breaches": {"direction": "exact"},
+    # Every per-layer self time and the trace end (layer_metrics).
+    "layers": {"direction": "exact"},
 }
 
 
@@ -97,6 +108,20 @@ def flat_metrics(record: Dict[str, Any]) -> Dict[str, float]:
     for i, tenant in enumerate(record.get("tenants", [])):
         for k, v in tenant.items():
             out[f"tenant{i}.{k}"] = float(v)
+    return out
+
+
+def layer_metrics(record: Dict[str, Any]) -> Dict[str, float]:
+    """Self ns per span ``category/label`` in the record's embedded
+    trace, plus ``trace_end_ns`` (the last span end); empty for a
+    record without a trace."""
+    rows = record.get("trace")
+    if not rows:
+        return {}
+    out = {k: float(v) for k, v in self_times(
+        spans_from_compact(rows),
+        key=lambda s: f"{s.category}/{s.label}").items()}
+    out["trace_end_ns"] = float(max(row[3] for row in rows))
     return out
 
 
@@ -144,13 +169,25 @@ def compare_cell(base_record: Dict[str, Any],
     """Classify one cell and, when regressed, attach layer blame."""
     base_flat = flat_metrics(base_record)
     cur_flat = flat_metrics(cur_record)
+    checks = [(key, base_flat[key], cur_flat[key],
+               _tolerance_for(key, tolerances))
+              for key in sorted(base_flat.keys() & cur_flat.keys())]
+    base_layers = layer_metrics(base_record)
+    cur_layers = layer_metrics(cur_record)
+    if base_layers and cur_layers:
+        # A layer present on one side only moved from 0 ns.  The trace
+        # end goes last, so on a tie the worst regression names a layer.
+        keys = sorted((base_layers.keys() | cur_layers.keys())
+                      - {"trace_end_ns"}) + ["trace_end_ns"]
+        checks += [(f"layers.{key}", base_layers.get(key, 0.0),
+                    cur_layers.get(key, 0.0), tolerances.get("layers"))
+                   for key in keys]
     regressions: List[Dict[str, Any]] = []
     improvements: List[Dict[str, Any]] = []
-    for key in sorted(base_flat.keys() & cur_flat.keys()):
-        band = _tolerance_for(key, tolerances)
+    for key, base, cur, band in checks:
         if band is None:
             continue
-        verdict = _judge(key, base_flat[key], cur_flat[key], band)
+        verdict = _judge(key, base, cur, band)
         if verdict is None:
             continue
         kind, detail = verdict

@@ -47,6 +47,12 @@ DEFAULT_MANIFEST: Dict[str, Any] = {
             "kind": "fio", "rw": "randread", "block_size": 4096,
             "tenants": 1, "ops": 24, "file_mib": 4, "seed": 42,
         },
+        # Large reads: the per-request IOMMU translation and DMA
+        # transfer cost scale with the 32 pages of each request.
+        "randread-128k": {
+            "kind": "fio", "rw": "randread", "block_size": 128 * 1024,
+            "tenants": 1, "ops": 24, "file_mib": 8, "seed": 42,
+        },
         "randwrite-4k-2t": {
             "kind": "fio", "rw": "randwrite", "block_size": 4096,
             "tenants": 2, "ops": 16, "file_mib": 4, "seed": 42,
@@ -75,7 +81,8 @@ DEFAULT_MANIFEST: Dict[str, Any] = {
     "grids": {
         "default": {
             "engines": ["bypassd", "io_uring", "libaio", "sync"],
-            "workloads": ["randread-4k", "randwrite-4k-2t"],
+            "workloads": ["randread-4k", "randread-128k",
+                          "randwrite-4k-2t"],
             "faults": ["none", "media-retry"],
             "exclude": [
                 {"engine": "io_uring", "faults": "media-retry"},
@@ -84,8 +91,8 @@ DEFAULT_MANIFEST: Dict[str, Any] = {
         },
         "wide": {
             "engines": ["bypassd", "io_uring", "libaio", "sync"],
-            "workloads": ["randread-4k", "randwrite-4k-2t",
-                          "seqread-64k", "ycsb-b-2t"],
+            "workloads": ["randread-4k", "randread-128k",
+                          "randwrite-4k-2t", "seqread-64k", "ycsb-b-2t"],
             "faults": ["none", "media-retry", "spike"],
             "exclude": [
                 {"engine": "io_uring", "faults": "media-retry"},

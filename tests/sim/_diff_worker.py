@@ -1,8 +1,8 @@
 """Subprocess worker for the differential-timeline harness.
 
-Runs a batch of scenarios on whichever engine ``REPRO_ENGINE`` selects
-(the overhauled ``repro.sim.engine`` by default, the frozen
-pre-overhaul ``engine_reference`` when set to ``reference``) and prints
+Runs a batch of scenarios on the engine its first argument names (the
+overhauled ``repro.sim.engine`` for ``new``, the frozen pre-overhaul
+``engine_reference.py`` next to this file for ``reference``) and prints
 one JSON document of deterministic fingerprints to stdout.  The parent
 test (``tests/sim/test_engine_diff.py``) runs it once per engine and
 asserts the two documents are byte-identical.
@@ -11,7 +11,7 @@ Everything emitted must be a pure function of the simulated timeline:
 span-tree fingerprints, final ``sim_time_ns``, telemetry dumps, stat
 counters, sanitizer findings.  No wall-clock, no object ids, no paths.
 
-Usage:  python tests/sim/_diff_worker.py '<spec-json>'
+Usage:  python tests/sim/_diff_worker.py {new|reference} '<spec-json>'
 
 where the spec is ``{"scenarios": [...]}`` with each scenario one of::
 
@@ -19,16 +19,25 @@ where the spec is ``{"scenarios": [...]}`` with each scenario one of::
     {"kind": "two_tenant", "monitor": bool}
     {"kind": "chaos", "path": "tests/chaos/corpus/<entry>.json"}
     {"kind": "experiment", "name": "<registry name>", "monitor": bool}
+    {"kind": "engine"}   # which module the stack's Simulator came from
 """
 
 import hashlib
 import json
 import sys
 
-from repro import GiB, Machine
-from repro.apps.fio import FioJob, run_fio
-from repro.obs.export import chrome_trace_json, tree_fingerprint
-from repro.obs.monitor import SLO, MonitorConfig
+import engine_reference
+
+# The engine binds before anything imports repro: with "reference",
+# every ``from ..sim.engine import ...`` in the stack gets the frozen
+# engine.
+if __name__ == "__main__" and sys.argv[1] == "reference":
+    sys.modules["repro.sim.engine"] = engine_reference
+
+from repro import GiB, Machine  # noqa: E402
+from repro.apps.fio import FioJob, run_fio  # noqa: E402
+from repro.obs.export import chrome_trace_json, tree_fingerprint  # noqa: E402
+from repro.obs.monitor import SLO, MonitorConfig  # noqa: E402
 
 
 def _sha(text: str) -> str:
@@ -117,7 +126,7 @@ def run_experiment(spec):
     config = job_config(spec["name"], faults=None,
                         monitor=bool(spec.get("monitor")))
     # The tree hash covers source bytes, which are identical for both
-    # engines (selection is environmental) — pin it to a constant so
+    # engines (the engine is a worker argument) — pin it to a constant so
     # the fingerprint never depends on it anyway.
     tree = "engine-diff"
     fp = job_fingerprint(tree, config)
@@ -131,16 +140,23 @@ def run_experiment(spec):
     return payload
 
 
+def run_engine_probe(spec):
+    """The module of the Simulator a Machine actually runs on."""
+    m = Machine(capacity_bytes=1 * GiB, memory_bytes=256 << 20)
+    return {"simulator": type(m.sim).__module__}
+
+
 RUNNERS = {
     "quickstart": run_quickstart,
     "two_tenant": run_two_tenant,
     "chaos": run_chaos,
     "experiment": run_experiment,
+    "engine": run_engine_probe,
 }
 
 
 def main() -> int:
-    spec = json.loads(sys.argv[1])
+    spec = json.loads(sys.argv[2])
     results = {}
     for scenario in spec["scenarios"]:
         label = scenario.get("label") or json.dumps(scenario, sort_keys=True)

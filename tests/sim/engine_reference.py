@@ -8,10 +8,12 @@ engines and assert that span-tree fingerprints, final ``sim_time_ns``
 and telemetry dumps are byte-identical — the proof that the overhaul
 changed *nothing* observable.
 
-Select it at import time with ``REPRO_ENGINE=reference`` in the
-environment: ``repro.sim.engine`` then re-exports these classes, so
-the whole stack (machine, apps, chaos executor) runs on the single
-``heapq`` loop below.  Do not import this module from model code.
+It imports nothing from ``repro`` at load time (the sanitizer is
+imported when a ``Simulator(sanitize=True)`` is built).  A harness
+that binds it as ``sys.modules["repro.sim.engine"]`` before anything
+imports ``repro`` (``tests/sim/_diff_worker.py reference``,
+``benchmarks/bench_engine.py``) runs the whole stack (machine, apps,
+chaos executor) on the single ``heapq`` loop below.
 
 Known deficiencies, kept on purpose (the overhaul fixes them and the
 regression tests in ``tests/sim/test_engine_fixes.py`` document the
@@ -322,7 +324,7 @@ class Simulator:
         self._active_process: Optional[Process] = None
         self._san = None
         if sanitize or strict_sanitize:
-            from .sanitizer import Sanitizer
+            from repro.sim.sanitizer import Sanitizer
             self._san = Sanitizer(self, strict=strict_sanitize)
 
     @property

@@ -4,8 +4,8 @@ The engine overhaul (bucketed calendar queue, event pooling, fast-path
 dispatch) is only safe if it changed *nothing observable*.  This
 harness runs identical workloads on both engines — the overhauled
 ``repro.sim.engine`` and the pre-overhaul copy in
-``repro.sim.engine_reference``, selected per-subprocess via the
-``REPRO_ENGINE`` environment variable — and asserts the resulting
+``tests/sim/engine_reference.py``, selected per-subprocess by the
+worker's engine argument — and asserts the resulting
 fingerprint documents are **byte-identical**: span-tree fingerprints,
 final ``sim_time_ns``, per-op latency digests, full telemetry dumps,
 chaos-oracle verdicts.
@@ -58,18 +58,16 @@ QUICK_SCENARIOS = [
 
 
 def run_worker(engine: str, scenarios) -> str:
-    """Run the worker subprocess on ``engine`` ("" = overhauled)."""
+    """Run the worker subprocess on ``engine`` ("new" or "reference")."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("REPRO_ENGINE", None)
-    if engine:
-        env["REPRO_ENGINE"] = engine
     proc = subprocess.run(
-        [sys.executable, str(WORKER), json.dumps({"scenarios": scenarios})],
+        [sys.executable, str(WORKER), engine,
+         json.dumps({"scenarios": scenarios})],
         capture_output=True, text=True, env=env, cwd=REPO_ROOT,
         timeout=1800)
     assert proc.returncode == 0, \
-        f"worker failed on engine={engine or 'new'}:\n{proc.stderr}"
+        f"worker failed on engine={engine}:\n{proc.stderr}"
     return proc.stdout
 
 
@@ -81,13 +79,13 @@ def _diff_labels(new: str, ref: str) -> str:
 
 
 def test_quick_tier_byte_identical_across_engines():
-    new = run_worker("", QUICK_SCENARIOS)
+    new = run_worker("new", QUICK_SCENARIOS)
     ref = run_worker("reference", QUICK_SCENARIOS)
     assert new == ref, _diff_labels(new, ref)
 
 
 def test_quick_tier_matches_committed_golden():
-    new = run_worker("", QUICK_SCENARIOS)
+    new = run_worker("new", QUICK_SCENARIOS)
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         GOLDEN.write_text(new, encoding="utf-8")
     assert GOLDEN.exists(), \
@@ -96,24 +94,14 @@ def test_quick_tier_matches_committed_golden():
     assert new == golden, _diff_labels(new, golden)
 
 
-def test_reference_engine_selected_by_env():
-    """The env switch really swaps the implementation in-subprocess."""
-    probe = ("import repro.sim.engine as e, "
-             "repro.sim.engine_reference as r; "
-             "import sys; "
-             "sys.stdout.write('ref' if e.Simulator is r.Simulator "
-             "else 'new')")
-    out = {}
-    for engine in ("", "reference"):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        env.pop("REPRO_ENGINE", None)
-        if engine:
-            env["REPRO_ENGINE"] = engine
-        out[engine] = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True,
-            text=True, env=env, timeout=120).stdout
-    assert out[""] == "new" and out["reference"] == "ref"
+def test_reference_engine_selected_by_argument():
+    """The engine argument really swaps the Simulator the whole stack
+    binds to, in-subprocess."""
+    probe = [{"label": "probe", "kind": "engine"}]
+    new = json.loads(run_worker("new", probe))["probe"]
+    ref = json.loads(run_worker("reference", probe))["probe"]
+    assert new == {"simulator": "repro.sim.engine"}
+    assert ref == {"simulator": "engine_reference"}
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_ENGINE_DIFF_FULL"),
@@ -127,6 +115,6 @@ def test_full_registry_byte_identical_across_engines():
          "name": name, "monitor": True}
         for name in registry_names()
     ]
-    new = run_worker("", scenarios)
+    new = run_worker("new", scenarios)
     ref = run_worker("reference", scenarios)
     assert new == ref, _diff_labels(new, ref)

@@ -15,12 +15,14 @@
 
 Each test pins the fixed behaviour on the new engine; where the
 pre-overhaul behaviour differed, the companion assertion documents it
-against :mod:`repro.sim.engine_reference` so the difference stays
+against ``tests/sim/engine_reference.py`` so the difference stays
 deliberate and visible.
 """
 
-from repro.sim import engine, engine_reference
+from repro.sim import engine
 from repro.sim.engine import Interrupt
+
+from . import engine_reference
 
 
 # -- 1: condition callbacks detach from losing events ------------------------
@@ -124,7 +126,7 @@ def test_reference_engine_had_the_stale_resume_bug():
 
     def body():
         # NB: the reference module's own Interrupt class — this test
-        # drives engine_reference directly, not via the env switch.
+        # drives engine_reference directly.
         try:
             yield ev1
         except engine_reference.Interrupt:

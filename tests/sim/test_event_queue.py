@@ -17,7 +17,9 @@ pooling is off under ``sanitize=True`` so provenance stays exact.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import engine, engine_reference
+from repro.sim import engine
+
+from . import engine_reference
 
 # Delays that straddle every queue boundary: the current instant, the
 # current 1024 ns bucket, its edges, ring slots, and the 262,144 ns

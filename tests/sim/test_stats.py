@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.stats import (
-    BreakdownRecorder,
     LatencyRecorder,
     ThroughputCounter,
     TimeSeries,
@@ -163,26 +162,3 @@ class TestTimeSeries:
         s = ts.summary()
         assert s["count"] == 1.0 and s["last"] == 2.5
 
-
-class TestBreakdownRecorder:
-    def test_table1_style(self):
-        rec = BreakdownRecorder(["switch", "vfs", "device"])
-        rec.record(switch=260, vfs=2810, device=4020)
-        rec.record(switch=260, vfs=2810, device=4020)
-        assert rec.mean_ns("vfs") == 2810
-        assert rec.total_mean_ns() == 7090
-        shares = rec.shares()
-        assert shares["device"] == pytest.approx(4020 / 7090)
-        rows = rec.rows()
-        assert [name for name, _, _ in rows] == ["switch", "vfs",
-                                                 "device"]
-
-    def test_unknown_component_rejected(self):
-        rec = BreakdownRecorder(["a"])
-        with pytest.raises(KeyError):
-            rec.record(b=1)
-
-    def test_no_ops_raises(self):
-        rec = BreakdownRecorder(["a"])
-        with pytest.raises(ValueError):
-            rec.mean_ns("a")

@@ -1,6 +1,8 @@
 """Tolerance bands, statuses, attribution escalation, rendering."""
 
+import copy
 import json
+from pathlib import Path
 
 from repro.sweep import compare as cmp_mod
 from repro.sweep.grid import MANIFEST_SCHEMA, SweepManifest
@@ -23,6 +25,13 @@ def record(cell="engine=bypassd/wl=rr/faults=none", **metrics):
 
 def doc(cells, grid="default"):
     return {"schema": 1, "grid": grid, "cells": cells}
+
+
+BASELINE = Path(__file__).resolve().parents[2] / "sweep-baseline.json"
+
+
+def committed_cell(cell):
+    return cmp_mod.load_json(BASELINE)["cells"][cell]
 
 
 class TestJudging:
@@ -84,6 +93,53 @@ class TestJudging:
         assert rep["status"] == "regressed"
         assert any(r["metric"] == "tenant0.p99_ns"
                    for r in rep["regressions"])
+
+
+class TestExactLayers:
+    """Per-layer self times and the trace end are judged exactly, so a
+    1 ns change the latency bands absorb still fails the cell."""
+
+    def test_one_ns_on_one_layer_regresses_and_names_it(self):
+        cell = "engine=sync/wl=randread-4k/faults=none"
+        base = committed_cell(cell)
+        cur = copy.deepcopy(base)
+        row = next(r for r in cur["trace"]
+                   if r[:2] == ["kernel", "block-layer"])
+        row[3] += 1
+        rep = cmp_mod.compare_cell(base, cur,
+                                   cmp_mod.resolve_tolerances(None))
+        assert rep["status"] == "regressed"
+        # No latency band moved: only the layer check sees it.
+        assert all(r["metric"].startswith("layers.")
+                   for r in rep["regressions"])
+        first = rep["regressions"][0]
+        assert first["metric"] == "layers.kernel/block-layer"
+        assert first["delta"] == 1.0
+        text = cmp_mod.render_text(cmp_mod.compare_results(
+            doc({cell: base}), doc({cell: cur})))
+        assert f"{cell}: REGRESSED: layers.kernel/block-layer" in text
+
+    def test_cost_no_span_covers_regresses_through_trace_end(self):
+        base = committed_cell("engine=io_uring/wl=randread-4k/faults=none")
+        cur = copy.deepcopy(base)
+        last = cur["trace"][-1]
+        assert last[5] == 0, "a root span: shifting it moves no self time"
+        last[2] += 1
+        last[3] += 1
+        rep = cmp_mod.compare_cell(base, cur,
+                                   cmp_mod.resolve_tolerances(None))
+        assert rep["status"] == "regressed"
+        assert [r["metric"] for r in rep["regressions"]] == \
+            ["layers.trace_end_ns"]
+
+    def test_committed_baseline_matches_reality(self):
+        """Re-simulating the cell that carries the 128 KiB BypassD
+        random read reproduces its committed record exactly, trace
+        included."""
+        cell = "engine=bypassd/wl=randread-128k/faults=none"
+        point = SweepManifest.builtin().point_for(cell, grid="default")
+        fresh = run_sweep_point(build_job(point, "t"))["record"]
+        assert json.loads(json.dumps(fresh)) == committed_cell(cell)
 
 
 class TestReport:
