@@ -23,6 +23,7 @@ from typing import List, Tuple
 from ..hw.pagetable import (
     ENTRIES_PER_NODE,
     LEVEL_PT,
+    PAGE_SHIFT,
     PMD_SPAN,
     PageTableNode,
     fte_encode,
@@ -34,6 +35,7 @@ __all__ = ["FileTable", "build_file_table", "PAGES_PER_LEAF"]
 
 PAGES_PER_LEAF = ENTRIES_PER_NODE  # 512 pages -> one leaf spans 2 MiB
 PAGE = 4096
+_FTE_STEP = 1 << PAGE_SHIFT  # consecutive LBAs differ by this in an FTE
 
 Mapping = Tuple[int, int, int]  # (logical page, device page, count)
 
@@ -63,25 +65,39 @@ class FileTable:
         """Install FTEs for ``count`` pages starting at ``logical``.
 
         Returns (indices of leaves newly created, cost_ns).  Existing
-        leaves are updated in place (shared-table visibility).
+        leaves are updated in place (shared-table visibility).  A
+        rejected range leaves the table untouched.
         """
         if count <= 0:
             raise ValueError("empty range")
+        if logical < 0:
+            raise ValueError(f"negative logical page: {logical}")
+        # Shared entries carry maximum rights; the per-process R/W bit
+        # lives at the private attach point (Figure 4).  An FTE is its
+        # LBA shifted into the frame field plus constant flag bits, so
+        # when the first and last LBA encode, the run between them is
+        # one arithmetic progression with a step of one page.
+        base = fte_encode(device_page, self.devid, writable=True)
+        fte_encode(device_page + count - 1, self.devid, writable=True)
+        leaves = self.leaves
+        end = logical + count
+        missing = -(-end // PAGES_PER_LEAF) - len(leaves)
+        if missing > 0:
+            leaves.extend([None] * missing)
         new_leaves: List[int] = []
-        last_leaf = (logical + count - 1) // PAGES_PER_LEAF
-        while len(self.leaves) <= last_leaf:
-            self.leaves.append(None)
-        for i in range(count):
-            page = logical + i
+        page = logical
+        while page < end:
             leaf_idx, slot = divmod(page, PAGES_PER_LEAF)
-            if self.leaves[leaf_idx] is None:
-                self.leaves[leaf_idx] = PageTableNode(LEVEL_PT)
+            n = min(PAGES_PER_LEAF - slot, end - page)
+            leaf = leaves[leaf_idx]
+            if leaf is None:
+                leaf = leaves[leaf_idx] = PageTableNode(LEVEL_PT)
                 new_leaves.append(leaf_idx)
-            # Shared entries carry maximum rights; the per-process R/W
-            # bit lives at the private attach point (Figure 4).
-            self.leaves[leaf_idx].entries[slot] = fte_encode(
-                device_page + i, self.devid, writable=True)
-        self.pages = max(self.pages, logical + count)
+            stop = base + n * _FTE_STEP
+            leaf.entries[slot:slot + n] = range(base, stop, _FTE_STEP)
+            base = stop
+            page += n
+        self.pages = max(self.pages, end)
         cost = count * params.fte_write_ns
         self.build_cost_ns += cost
         return new_leaves, cost
@@ -106,12 +122,13 @@ class FileTable:
         if keep_pages >= self.pages:
             return []
         first_dead_leaf = -(-keep_pages // PAGES_PER_LEAF)
-        for page in range(keep_pages,
-                          min(self.pages,
-                              first_dead_leaf * PAGES_PER_LEAF)):
-            leaf_idx, slot = divmod(page, PAGES_PER_LEAF)
-            if self.leaves[leaf_idx] is not None:
-                self.leaves[leaf_idx].entries[slot] = 0
+        # The pages cleared in place all sit in the leaf holding
+        # ``keep_pages``; nothing at or past ``self.pages`` is present.
+        slot = keep_pages % PAGES_PER_LEAF
+        if slot:
+            leaf = self.leaves[keep_pages // PAGES_PER_LEAF]
+            if leaf is not None:
+                leaf.entries[slot:] = [0] * (PAGES_PER_LEAF - slot)
         dead = [idx for idx in range(first_dead_leaf, len(self.leaves))
                 if self.leaves[idx] is not None]
         del self.leaves[first_dead_leaf:]

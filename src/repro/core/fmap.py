@@ -26,12 +26,12 @@ brand-new leaves are attached to every mapped process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Set, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from ..fs.ext4.filesystem import Ext4Filesystem
 from ..fs.ext4.inode import Inode
 from ..hw.iommu import IOMMU
-from ..hw.pagetable import PMD_SPAN
+from ..hw.pagetable import PMD_SPAN, PageTableNode
 from ..hw.params import HardwareParams
 from ..kernel.process import FileDescription, Process
 from ..sim.cpu import Thread
@@ -92,17 +92,12 @@ class FmapManager:
             if fdesc.writable and not existing.writable:
                 # Permission upgrade: re-attach with the R/W bit set at
                 # the private intermediate entries.
-                pt = proc.aspace.page_table
-                table = inode.file_table
-                for idx in sorted(existing.attached):
-                    va = existing.base_va + idx * PMD_SPAN
-                    pt.detach_subtree(va, subtree_level=1)
-                    pt.attach_subtree(va, table.leaves[idx],
-                                      writable=True)
+                self._unlink(existing, list(existing.attached))
+                existing.writable = True
+                self._link(existing, 0, inode.file_table.leaves)
                 self.iommu.invalidate_range(
                     proc.pasid, existing.base_va,
                     existing.region_leaves * PMD_SPAN)
-                existing.writable = True
             fdesc.vba = existing.base_va
             inode.fmap_attachments[proc.pasid] = existing.base_va
             return existing.base_va
@@ -126,12 +121,7 @@ class FmapManager:
         attachment = Attachment(
             proc=proc, base_va=base_va, region_leaves=region_leaves,
             writable=fdesc.writable)
-        for idx, leaf in enumerate(table.leaves):
-            if leaf is None:
-                continue
-            proc.aspace.page_table.attach_subtree(
-                base_va + idx * PMD_SPAN, leaf, writable=fdesc.writable)
-            attachment.attached.add(idx)
+        self._link(attachment, 0, table.leaves)
         yield from thread.compute(
             max(1, len(attachment.attached)) * self.params.pmd_attach_ns)
 
@@ -172,12 +162,27 @@ class FmapManager:
         if not attachments:
             self._attachments.pop(inode.ino, None)
 
+    # -- leaf attach/detach: the one path every caller goes through ---------
+
+    @staticmethod
+    def _link(attachment: Attachment, first: int,
+              leaves: List[Optional[PageTableNode]]) -> None:
+        """Attach ``leaves`` (``None`` = hole) from leaf index ``first``."""
+        linked = attachment.proc.aspace.page_table.attach_leaves(
+            attachment.base_va + first * PMD_SPAN, leaves,
+            writable=attachment.writable)
+        attachment.attached.update(
+            [first + idx for idx in linked] if first else linked)
+
+    @staticmethod
+    def _unlink(attachment: Attachment, indices: Iterable[int]) -> None:
+        """Detach the leaves at ``indices``."""
+        attachment.proc.aspace.page_table.detach_leaves(
+            attachment.base_va, indices)
+        attachment.attached.difference_update(indices)
+
     def _detach(self, inode: Inode, attachment: Attachment) -> None:
-        pt = attachment.proc.aspace.page_table
-        for idx in sorted(attachment.attached):
-            pt.detach_subtree(attachment.base_va + idx * PMD_SPAN,
-                              subtree_level=1)
-        attachment.attached.clear()
+        self._unlink(attachment, list(attachment.attached))
         self.iommu.invalidate_range(
             attachment.proc.pasid, attachment.base_va,
             attachment.region_leaves * PMD_SPAN)
@@ -217,18 +222,18 @@ class FmapManager:
             new_leaf_indices.extend(created)
         if not new_leaf_indices:
             return
+        first, last = min(new_leaf_indices), max(new_leaf_indices)
+        created = set(new_leaf_indices)
+        # Only the new leaves: the ones between them are attached already.
+        batch = [table.leaves[idx] if idx in created else None
+                 for idx in range(first, last + 1)]
         attachments = self._attachments.get(inode.ino, {})
         doomed: List[Attachment] = []
         for attachment in attachments.values():
-            if max(new_leaf_indices) >= attachment.region_leaves:
+            if last >= attachment.region_leaves:
                 doomed.append(attachment)
                 continue
-            pt = attachment.proc.aspace.page_table
-            for idx in new_leaf_indices:
-                pt.attach_subtree(
-                    attachment.base_va + idx * PMD_SPAN,
-                    table.leaves[idx], writable=attachment.writable)
-                attachment.attached.add(idx)
+            self._link(attachment, first, batch)
         for attachment in doomed:
             # The VA region cannot hold the grown file: revoke just this
             # process; its UserLib will re-fmap into a larger region.
@@ -246,12 +251,8 @@ class FmapManager:
         dead = table.truncate_pages(keep_pages)
         attachments = self._attachments.get(inode.ino, {})
         for attachment in attachments.values():
-            pt = attachment.proc.aspace.page_table
-            for idx in dead:
-                if idx in attachment.attached:
-                    pt.detach_subtree(attachment.base_va + idx * PMD_SPAN,
-                                      subtree_level=1)
-                    attachment.attached.discard(idx)
+            self._unlink(attachment, [idx for idx in dead
+                                      if idx in attachment.attached])
             self.iommu.invalidate_range(
                 attachment.proc.pasid,
                 attachment.base_va + keep_pages * PAGE,

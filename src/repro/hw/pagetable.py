@@ -25,7 +25,8 @@ tables (Section 4.1, Figure 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "PAGE_SHIFT",
@@ -86,6 +87,20 @@ def level_span(level: int) -> int:
 
 def _index(va: int, level: int) -> int:
     return (va >> (PAGE_SHIFT + INDEX_BITS * (level - 1))) & (ENTRIES_PER_NODE - 1)
+
+
+def _pmd_runs(va: int, count: int) -> Iterator[Tuple[int, int, int]]:
+    """Split ``count`` PMD entries from ``va`` by PMD node.
+
+    Yields (VA of the run's first entry, index of that entry in the
+    batch, entries in the run): one run per 1 GiB of VA touched.
+    """
+    first = 0
+    while first < count:
+        run_va = va + first * PMD_SPAN
+        n = min(ENTRIES_PER_NODE - _index(run_va, LEVEL_PMD), count - first)
+        yield run_va, first, n
+        first += n
 
 
 def pte_encode(pfn: int, writable: bool = True, user: bool = True,
@@ -270,6 +285,92 @@ class PageTable:
         parent.children[idx] = None
         parent.entries[idx] = 0
         return child
+
+    def attach_leaves(self, va: int, leaves: Sequence[Optional[PageTableNode]],
+                      writable: bool) -> List[int]:
+        """Link shared PT leaves at consecutive PMD entries from ``va``.
+
+        ``leaves[i]`` goes to the entry covering ``va + i * PMD_SPAN``;
+        ``None`` is a hole and leaves its entry alone.  Returns the
+        indices linked.  Every target is checked before the first write,
+        so a batch that hits a mapped entry raises and changes nothing.
+        Each PMD node on the way is walked to once, not once per leaf.
+        """
+        self._check_batch(va, len(leaves))
+        runs = []
+        for run_va, first, n in _pmd_runs(va, len(leaves)):
+            batch = leaves[first:first + n]
+            holes = batch.count(None)
+            if holes == n:
+                continue
+            slot = _index(run_va, LEVEL_PMD)
+            node = self._interior_node(run_va, LEVEL_PMD, create=False)
+            if node is not None:
+                assert node.children is not None
+                occupied = node.children[slot:slot + n]
+                if any(occupied):
+                    for k, child in enumerate(occupied):
+                        if child is not None and batch[k] is not None:
+                            raise ValueError(
+                                f"VA {run_va + k * PMD_SPAN:#x} "
+                                f"already mapped")
+            runs.append((run_va, first, slot, batch, holes))
+        flags = _PRESENT | _USER | (_WRITABLE if writable else 0)
+        linked: List[int] = []
+        for run_va, first, slot, batch, holes in runs:
+            node = self._interior_node(run_va, LEVEL_PMD, create=True)
+            assert node is not None and node.children is not None
+            n = len(batch)
+            if not holes:
+                node.children[slot:slot + n] = batch
+                node.entries[slot:slot + n] = [flags] * n
+                linked.extend(range(first, first + n))
+                continue
+            for k, leaf in enumerate(batch):
+                if leaf is not None:
+                    node.children[slot + k] = leaf
+                    node.entries[slot + k] = flags
+                    linked.append(first + k)
+        return linked
+
+    def detach_leaves(self, va: int, indices: Iterable[int]) -> None:
+        """Unlink the PT leaves at ``va + i * PMD_SPAN`` for each index.
+
+        Each PMD node on the way is walked to once, and each contiguous
+        run of indices within it is cleared with one slice.
+        """
+        self._check_batch(va, 0)
+        ordered = sorted(indices)
+        if not ordered:
+            return
+        if ordered[0] < 0:
+            raise ValueError(f"negative leaf index {ordered[0]}")
+        lo = 0
+        for run_va, first, n in _pmd_runs(va, ordered[-1] + 1):
+            hi = bisect_left(ordered, first + n, lo)
+            if hi == lo:
+                continue
+            node = self._interior_node(run_va, LEVEL_PMD, create=False)
+            if node is not None:
+                assert node.children is not None
+                base = _index(run_va, LEVEL_PMD) - first
+                start, stop = base + ordered[lo], base + ordered[hi - 1] + 1
+                if stop - start == hi - lo:
+                    node.children[start:stop] = [None] * (hi - lo)
+                    node.entries[start:stop] = [0] * (hi - lo)
+                else:
+                    for idx in ordered[lo:hi]:
+                        node.children[base + idx] = None
+                        node.entries[base + idx] = 0
+            lo = hi
+
+    def _check_batch(self, va: int, count: int) -> None:
+        if va % PMD_SPAN:
+            raise ValueError(
+                f"batch VA {va:#x} not aligned to {PMD_SPAN:#x}")
+        self._check_va(va)
+        if count:
+            self._check_va(va + count * PMD_SPAN - 1)
 
     def _interior_node(self, va: int, entry_level: int,
                        create: bool) -> Optional[PageTableNode]:

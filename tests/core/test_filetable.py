@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.filetable import PAGES_PER_LEAF, FileTable, build_file_table
-from repro.hw.pagetable import fte_devid, fte_lba, pte_present, pte_writable
+from repro.hw.pagetable import (
+    fte_devid, fte_encode, fte_lba, pte_present, pte_writable)
 from repro.hw.params import DEFAULT_PARAMS
 
 
@@ -188,3 +189,130 @@ class TestDensityInvariant:
             phys += count + 3
         assert dict(entries(t)) == model
         assert t.entry_count() == len(model)
+
+
+class TestRejectedRange:
+    """A range whose DevID or LBAs do not encode changes nothing."""
+
+    def snapshot(self, t):
+        return ([None if leaf is None else list(leaf.entries)
+                 for leaf in t.leaves], t.pages, t.build_cost_ns)
+
+    def test_bad_devid_on_empty_table(self):
+        t = FileTable(devid=64)
+        with pytest.raises(ValueError):
+            t.set_range(1000, 5, 3, DEFAULT_PARAMS)
+        assert t.leaves == []
+        assert (t.pages, t.build_cost_ns) == (0, 0)
+
+    def test_last_lba_out_of_range(self):
+        t = FileTable(devid=1)
+        with pytest.raises(ValueError):
+            t.set_range(0, 2 ** 40 - 2, 600, DEFAULT_PARAMS)
+        assert t.leaves == []
+        assert (t.pages, t.build_cost_ns) == (0, 0)
+
+    @pytest.mark.parametrize("logical, device_page, count", [
+        (0, 2 ** 40 - 2, 600),             # runs past the last LBA
+        (3 * PAGES_PER_LEAF, -1, 4),       # negative LBA, new leaves
+        (PAGES_PER_LEAF - 1, 2 ** 40, 2),  # first LBA already too big
+        (-1, 10, 4),                       # negative logical page
+    ])
+    def test_populated_table_unchanged(self, logical, device_page, count):
+        t = build_file_table([(0, 50, 10), (PAGES_PER_LEAF, 900, 4)],
+                             devid=1, params=DEFAULT_PARAMS)
+        before = self.snapshot(t)
+        with pytest.raises(ValueError):
+            t.set_range(logical, device_page, count, DEFAULT_PARAMS)
+        assert self.snapshot(t) == before
+
+    def test_max_lba_is_last_entry_of_a_run(self):
+        t = FileTable(devid=3)
+        t.set_range(PAGES_PER_LEAF - 2, 2 ** 40 - 4, 4, DEFAULT_PARAMS)
+        assert entries(t)[-1] == (PAGES_PER_LEAF + 1, 2 ** 40 - 1)
+        assert t.leaves[1].entries[1] == fte_encode(2 ** 40 - 1, 3)
+
+
+class ReferenceTable:
+    """Page-at-a-time model of a file table: every FTE is encoded on
+    its own through ``fte_encode``, and a range that fails to encode is
+    rejected before anything changes."""
+
+    def __init__(self, devid):
+        self.devid = devid
+        self.leaves = []
+        self.pages = 0
+        self.build_cost_ns = 0
+
+    def set_range(self, logical, device_page, count, params):
+        if logical < 0:
+            raise ValueError("negative logical page")
+        encoded = [fte_encode(device_page + i, self.devid, writable=True)
+                   for i in range(count)]
+        new_leaves = []
+        for i, entry in enumerate(encoded):
+            leaf_idx, slot = divmod(logical + i, PAGES_PER_LEAF)
+            while len(self.leaves) <= leaf_idx:
+                self.leaves.append(None)
+            if self.leaves[leaf_idx] is None:
+                self.leaves[leaf_idx] = [0] * PAGES_PER_LEAF
+                new_leaves.append(leaf_idx)
+            self.leaves[leaf_idx][slot] = entry
+        self.pages = max(self.pages, logical + count)
+        cost = count * params.fte_write_ns
+        self.build_cost_ns += cost
+        return new_leaves, cost
+
+    def truncate_pages(self, keep_pages):
+        if keep_pages >= self.pages:
+            return []
+        for page in range(keep_pages, self.pages):
+            leaf_idx, slot = divmod(page, PAGES_PER_LEAF)
+            if self.leaves[leaf_idx] is not None:
+                self.leaves[leaf_idx][slot] = 0
+        first_dead = -(-keep_pages // PAGES_PER_LEAF)
+        dead = [idx for idx in range(first_dead, len(self.leaves))
+                if self.leaves[idx] is not None]
+        del self.leaves[first_dead:]
+        self.pages = keep_pages
+        return dead
+
+
+_RUN = st.tuples(
+    st.just("set"),
+    st.integers(0, 3 * PAGES_PER_LEAF),                  # logical page
+    st.one_of(st.integers(0, 1 << 20),                   # device page
+              st.integers(2 ** 40 - 2 * PAGES_PER_LEAF, 2 ** 40)),
+    st.integers(1, PAGES_PER_LEAF + 64))                 # page count
+_TRUNCATE = st.tuples(st.just("truncate"),
+                      st.integers(0, 4 * PAGES_PER_LEAF))
+
+
+class TestSliceFillMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 0x3F),
+           st.lists(st.one_of(_RUN, _TRUNCATE), max_size=12))
+    def test_entry_by_entry(self, devid, ops):
+        """Property: runs straddling leaves, sparse runs, overwrites
+        and interleaved truncates leave the slice-filled table equal,
+        entry by entry, to one filled a page at a time."""
+        t, ref = FileTable(devid=devid), ReferenceTable(devid)
+        for op in ops:
+            if op[0] == "truncate":
+                assert t.truncate_pages(op[1]) == ref.truncate_pages(op[1])
+            else:
+                _, logical, device_page, count = op
+                try:
+                    expected = ref.set_range(logical, device_page, count,
+                                             DEFAULT_PARAMS)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        t.set_range(logical, device_page, count,
+                                    DEFAULT_PARAMS)
+                else:
+                    assert t.set_range(logical, device_page, count,
+                                       DEFAULT_PARAMS) == expected
+            assert [None if leaf is None else leaf.entries
+                    for leaf in t.leaves] == ref.leaves
+            assert (t.pages, t.build_cost_ns) == (ref.pages,
+                                                  ref.build_cost_ns)

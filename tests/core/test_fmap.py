@@ -222,3 +222,49 @@ def test_fmap_memory_accounting(m):
     # 2 MiB of file per 4 KiB leaf: 0.2% overhead (Section 6.3).
     assert m.bypassd.file_table_bytes() == 2 * 4096
     assert m.bypassd.attachment_count() == 1
+
+
+def test_attachments_hold_exactly_the_present_leaves(m):
+    """Every live attachment links exactly the file table's present
+    leaves — after fmap, a permission upgrade, growth into new and
+    sparse leaves while another process holds the file mapped, and
+    truncation.  This is what lets every caller attach and detach
+    through one batch path."""
+    owner, reader = m.spawn_process(), m.spawn_process()
+    t1, t2 = owner.new_thread(), reader.new_thread()
+    fd, _ = open_and_fmap(m, owner, t1, "/f", size=PMD_SPAN + 4096)
+    open_and_fmap(m, reader, t2, "/f", flags=O_RDONLY | O_DIRECT, size=0)
+    inode = m.fs.lookup("/f")
+
+    def check(leaves):
+        table = inode.file_table
+        present = {i for i, leaf in enumerate(table.leaves)
+                   if leaf is not None}
+        assert present == leaves
+        attachments = m.bypassd._attachments[inode.ino]
+        assert sorted(attachments) == sorted([owner.pasid, reader.pasid])
+        for attachment in attachments.values():
+            assert attachment.attached == present
+            pt = attachment.proc.aspace.page_table
+            for idx in range(attachment.region_leaves):
+                walk = pt.walk(attachment.base_va + idx * PMD_SPAN)
+                assert walk.present == (idx in present
+                                        and table.has_entry(
+                                            idx * PMD_SPAN // 4096))
+
+    def syscall(call, *args):
+        m.run_process(call(owner, t1, fd, *args))
+
+    check({0, 1})
+    open_and_fmap(m, reader, t2, "/f", flags=O_RDWR | O_DIRECT, size=0)
+    check({0, 1})
+    reader_vba = inode.fmap_attachments[reader.pasid]
+    assert reader.aspace.page_table.walk(reader_vba).effective_writable
+    syscall(m.kernel.sys_fallocate, 0, 3 * PMD_SPAN + 4096)
+    check({0, 1, 2, 3})
+    syscall(m.kernel.sys_fallocate, 7 * PMD_SPAN, 4096)
+    check({0, 1, 2, 3, 7})
+    syscall(m.kernel.sys_ftruncate, 2 * PMD_SPAN + 4096)
+    check({0, 1, 2})
+    syscall(m.kernel.sys_ftruncate, 0)
+    check(set())

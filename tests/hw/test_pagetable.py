@@ -1,7 +1,7 @@
 """Unit + property tests for page tables and FTE encoding."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.pagetable import (
     ENTRIES_PER_NODE,
@@ -216,6 +216,135 @@ class TestSubtreeAttach:
         result = pt.walk(va + 2 * PAGE_SIZE)
         assert result.is_fte
         assert fte_lba(result.entry) == 5555
+
+
+def _leaves(pattern):
+    """PT leaves for a hole pattern: leaf ``i`` (or ``None``) holds one
+    FTE whose LBA names its index."""
+    out = []
+    for i, present in enumerate(pattern):
+        leaf = None
+        if present:
+            leaf = PageTableNode(LEVEL_PT)
+            leaf.entries[0] = fte_encode(7000 + i, 1)
+        out.append(leaf)
+    return out
+
+
+def _view(pt, va, count):
+    """What each of ``count`` PMD entries from ``va`` resolves to."""
+    return [(r.entry, r.effective_writable)
+            for r in (pt.walk(va + i * PMD_SPAN) for i in range(count))]
+
+
+# 2 MiB aligned, two PMD entries short of a 1 GiB (PMD node) boundary
+_NEAR_PUD_END = 0x5000_0000_0000 + PUD_SPAN - 2 * PMD_SPAN
+
+
+class TestBatchAttach:
+    def test_holes_are_skipped(self):
+        pt = PageTable()
+        va = 0x5000_0000_0000
+        leaves = _leaves([1, 0, 1, 1, 0])
+        assert pt.attach_leaves(va, leaves, writable=True) == [0, 2, 3]
+        for i, leaf in enumerate(leaves):
+            result = pt.walk(va + i * PMD_SPAN)
+            assert result.present == (leaf is not None)
+            if leaf is not None:
+                assert fte_lba(result.entry) == 7000 + i
+
+    def test_batch_crosses_pmd_node_boundary(self):
+        pt = PageTable()
+        leaves = _leaves([1] * 5)
+        assert pt.attach_leaves(_NEAR_PUD_END, leaves,
+                                writable=False) == [0, 1, 2, 3, 4]
+        for i in range(5):
+            result = pt.walk(_NEAR_PUD_END + i * PMD_SPAN)
+            assert fte_lba(result.entry) == 7000 + i
+            assert not result.effective_writable
+        # PGD + PUD + one PMD node on each side of the boundary
+        assert pt.node_count() == 4 + 5
+
+    def test_all_hole_node_is_not_created(self):
+        pt = PageTable()
+        assert pt.attach_leaves(_NEAR_PUD_END, _leaves([1, 1, 0, 0]),
+                                writable=True) == [0, 1]
+        assert pt.node_count() == 3 + 2
+
+    @pytest.mark.parametrize("va", [0x5000_0000_1000,
+                                    0x5000_0000_0000 + PMD_SPAN // 2])
+    def test_unaligned_va_rejected(self, va):
+        pt = PageTable()
+        with pytest.raises(ValueError):
+            pt.attach_leaves(va, _leaves([1]), writable=True)
+        with pytest.raises(ValueError):
+            pt.detach_leaves(va, [0])
+        assert pt.node_count() == 1
+
+    @pytest.mark.parametrize("taken", [0, 1, 3])
+    def test_conflict_changes_nothing(self, taken):
+        """Every target is checked before the first write: a batch that
+        hits a mapped entry, here in its first or second PMD node,
+        raises and leaves the page table as it was."""
+        pt = PageTable()
+        pt.attach_subtree(_NEAR_PUD_END + taken * PMD_SPAN,
+                          _leaves([1])[0], writable=True)
+        before = (_view(pt, _NEAR_PUD_END, 5), pt.node_count())
+        with pytest.raises(ValueError, match="already mapped"):
+            pt.attach_leaves(_NEAR_PUD_END, _leaves([1] * 5),
+                             writable=False)
+        assert (_view(pt, _NEAR_PUD_END, 5), pt.node_count()) == before
+
+    def test_hole_over_mapped_entry_is_no_conflict(self):
+        pt = PageTable()
+        kept = _leaves([1])[0]
+        pt.attach_subtree(_NEAR_PUD_END + PMD_SPAN, kept, writable=True)
+        assert pt.attach_leaves(_NEAR_PUD_END, _leaves([1, 0, 1]),
+                                writable=True) == [0, 2]
+        assert pt.detach_subtree(_NEAR_PUD_END + PMD_SPAN,
+                                 LEVEL_PT) is kept
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 6), st.lists(st.booleans(), max_size=12),
+           st.booleans())
+    def test_same_as_per_leaf_attach(self, back, pattern, writable):
+        """Property: a batch attach walks exactly like one
+        ``attach_subtree`` per leaf, and detaching every linked index
+        leaves nothing reachable."""
+        va = _NEAR_PUD_END - back * PMD_SPAN
+        leaves = _leaves(pattern)
+        batched, single = PageTable(), PageTable()
+        linked = batched.attach_leaves(va, leaves, writable=writable)
+        for i, leaf in enumerate(leaves):
+            if leaf is not None:
+                single.attach_subtree(va + i * PMD_SPAN, leaf,
+                                      writable=writable)
+        assert linked == [i for i, leaf in enumerate(leaves) if leaf]
+        assert _view(batched, va, len(leaves)) == \
+            _view(single, va, len(leaves))
+        assert batched.node_count() == single.node_count()
+        batched.detach_leaves(va, linked)
+        assert not any(batched.walk(va + i * PMD_SPAN).present
+                       for i in range(len(leaves)))
+
+    @pytest.mark.parametrize("indices, kept", [
+        ([1, 2], [0, 3, 4, 5]),              # contiguous, across nodes
+        ({4, 0, 2}, [1, 3, 5]),              # unordered, with gaps
+        ([], [0, 1, 2, 3, 4, 5]),
+    ])
+    def test_detach_leaves_only_the_given_indices(self, indices, kept):
+        pt = PageTable()
+        pt.attach_leaves(_NEAR_PUD_END, _leaves([1] * 6), writable=True)
+        pt.detach_leaves(_NEAR_PUD_END, indices)
+        assert [i for i in range(6)
+                if pt.walk(_NEAR_PUD_END + i * PMD_SPAN).present] == kept
+
+    def test_detach_negative_index_rejected(self):
+        pt = PageTable()
+        pt.attach_leaves(_NEAR_PUD_END, _leaves([1]), writable=True)
+        with pytest.raises(ValueError):
+            pt.detach_leaves(_NEAR_PUD_END + PMD_SPAN, [-1])
+        assert pt.walk(_NEAR_PUD_END).present
 
 
 class TestAccounting:
