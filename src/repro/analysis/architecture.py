@@ -228,7 +228,6 @@ HOT_ENTRY_POINTS: Tuple[str, ...] = (
     "repro.sim.engine:Simulator._post_slow",
     "repro.sim.engine:Simulator._place",
     "repro.sim.engine:Simulator._advance",
-    "repro.sim.engine:Process._step",
     "repro.sim.engine:Process._resume",
     "repro.sim.engine:Event.succeed",
     "repro.sim.engine:Event.fail",

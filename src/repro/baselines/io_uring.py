@@ -107,7 +107,7 @@ class IOUringRing:
             # Completions flow to the app's CQ without poller involvement.
             def completed(event, cq=cq):
                 self.inflight -= 1
-                cq.put(event.value)
+                cq.put_nowait(event.value)
 
             ev.add_callback(completed)
 
@@ -115,7 +115,7 @@ class IOUringRing:
                data: Optional[bytes], cq: Store) -> None:
         self.sqes += 1
         self.inflight += 1
-        self.sq.put((opcode, lba512, nbytes, data, cq))
+        self.sq.put_nowait((opcode, lba512, nbytes, data, cq))
 
 
 class IOUringFile:

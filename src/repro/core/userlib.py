@@ -423,10 +423,8 @@ class UserLib:
     def _poll_guarded(self, thread: Thread, ctx: "_ThreadCtx",
                       cmd: Command, ev: Event) -> Generator:
         """Poll for the completion, timing out and aborting commands the
-        device silently dropped (only armed when the fault plan can
-        drop completions, so fault-free timing is untouched)."""
-        if not self.device.injector.may_drop:
-            return (yield from thread.poll(ev))
+        device silently dropped (only used when the fault plan can drop
+        completions, so fault-free timing is untouched)."""
         while not ev.processed:
             deadline = self.sim.timeout(self.params.io_timeout_ns)
             yield from thread.poll(self.sim.any_of([ev, deadline]))
@@ -465,8 +463,11 @@ class UserLib:
             try:
                 tracer.stamp(cmd, thread=thread)
                 ev = self.device.submit(ctx.qp, cmd)
-                completion = yield from self._poll_guarded(thread, ctx,
-                                                           cmd, ev)
+                if self.device.injector.may_drop:
+                    completion = yield from self._poll_guarded(
+                        thread, ctx, cmd, ev)
+                else:
+                    completion = yield from thread.poll(ev)
             finally:
                 tracer.end(token)
             if completion.ok:

@@ -104,10 +104,8 @@ class BlockIOLayer:
 
     def _wait_guarded(self, thread: Thread, qp: QueuePair, cmd: Command,
                       ev: Event) -> Generator:
-        """Block until the completion, arming the driver timeout when
-        the fault plan can swallow CQEs."""
-        if not self.device.injector.may_drop:
-            return (yield from thread.block(ev))
+        """Block until the completion under the driver timeout (only
+        used when the fault plan can swallow CQEs)."""
         timeout_ns = self.params.io_timeout_ns
         while not ev.processed:
             deadline = self.sim.timeout(timeout_ns)
@@ -146,8 +144,11 @@ class BlockIOLayer:
             try:
                 self.tracer.stamp(cmd, thread=thread)
                 ev = self.device.submit(qp, cmd)
-                completion = yield from self._wait_guarded(thread, qp,
-                                                           cmd, ev)
+                if self.device.injector.may_drop:
+                    completion = yield from self._wait_guarded(
+                        thread, qp, cmd, ev)
+                else:
+                    completion = yield from thread.block(ev)
             finally:
                 self.tracer.end(token)
             if charge_irq and self.params.irq_completion_ns:
@@ -240,7 +241,11 @@ class BlockIOLayer:
         try:
             self.tracer.stamp(cmd, thread=thread)
             ev = self.device.submit(qp, cmd)
-            completion = yield from self._wait_guarded(thread, qp, cmd, ev)
+            if self.device.injector.may_drop:
+                completion = yield from self._wait_guarded(thread, qp,
+                                                           cmd, ev)
+            else:
+                completion = yield from thread.block(ev)
         finally:
             self.tracer.end(token)
         if not completion.ok:

@@ -31,7 +31,7 @@ from ..faults.plan import FaultKind
 from ..hw.iommu import IOMMU, TranslationFault
 from ..hw.params import HardwareParams
 from ..hw.pcie import PCIeLink
-from ..sim.engine import Event, Simulator
+from ..sim.engine import Event, Simulator, Timeout
 from ..sim.resources import Resource, Store
 from ..sim.trace import NULL_TRACER
 from .backend import MediaBackend
@@ -153,7 +153,7 @@ class NVMeDevice:
         ev = qp.submit(cmd)
         cmd.submit_ns = self.sim.now
         self.link.posted_writes += 1
-        self._work.put((qp.qid, cmd.cid))
+        self._work.put_nowait((qp.qid, cmd.cid))
         return ev
 
     def abort(self, qp: QueuePair, cid: int) -> bool:
@@ -177,23 +177,70 @@ class NVMeDevice:
     # -- device internals ---------------------------------------------------
 
     def _channel_loop(self) -> Generator[Event, object, None]:
+        """One media channel: fetch, admit, then serve a command inline.
+
+        Reads run their media, transfer and completion stages here with
+        no nested generators: this loop is the device's per-command hot
+        path.  A VBA read leaves the channel while the IOMMU translates
+        it and comes back through ``_translated``.
+        """
+        sim, params, backend = self.sim, self.params, self.backend
+        media_read_ns = backend.media_ns(Opcode.READ)
+        work, translated = self._work, self._translated
+        xfer_link = self._xfer_link
         while True:
-            yield self._work.get()
+            yield work.get()
             # Commands that finished VBA translation resume first; they
             # already won arbitration once.
-            ready = self._translated.try_get()
+            ready = translated.try_get()
             if ready is not None:
                 qp, cmd, segments = ready
-                yield from self._serve_read(qp, cmd, segments)
-                continue
-            picked = self.arbiter.select()
-            if picked is None:
-                continue  # queue was deleted with commands outstanding
-            qp, cmd = picked
-            yield from self._execute(qp, cmd)
+            else:
+                picked = self.arbiter.select()
+                if picked is None:
+                    continue  # queue was deleted with commands outstanding
+                qp, cmd = picked
+                segments = yield from self._execute(qp, cmd)
+                if segments is None:
+                    continue  # completed, failed, dropped or parked
+            # -- serve a read: media, transfer, completion ---------------
+            tr = self.tracer
+            token = tr.begin("nvme", "media", parent=cmd.trace)
+            yield sim.timeout(media_read_ns)
+            tr.end(token)
+            nbytes = cmd.nbytes
+            link_ns = backend.link_ns(nbytes)
+            total_ns = backend.transfer_ns(nbytes)
+            token = tr.begin("nvme", "transfer", parent=cmd.trace)
+            yield xfer_link.request()
+            try:
+                yield sim.timeout(link_ns)
+            finally:
+                xfer_link.release()
+            if total_ns > link_ns:
+                yield sim.timeout(total_ns - link_ns)
+            tr.end(token)
+            chunks = []
+            for lba, nblocks in segments:
+                chunk = backend.read_blocks(lba, nblocks)
+                if chunk is not None:
+                    chunks.append(chunk)
+            token = tr.begin("nvme", "complete", parent=cmd.trace)
+            yield sim.timeout(params.completion_post_ns)
+            tr.end(token)
+            self._complete(qp, cmd, Status.SUCCESS,
+                           data=b"".join(chunks) if chunks else None,
+                           nbytes=nbytes)
 
-    def _execute(self, qp: QueuePair,
-                 cmd: Command) -> Generator[Event, object, None]:
+    def _execute(self, qp: QueuePair, cmd: Command
+                 ) -> Generator[Event, object,
+                                Optional[List[Tuple[int, int]]]]:
+        """Fetch and admit ``cmd``; run flushes and writes to the end.
+
+        Returns the LBA segments of a read the channel should serve
+        now, or None when the command is finished here (completed,
+        failed or dropped) or parked in the IOMMU for translation.
+        """
         sim, params = self.sim, self.params
         tr = self.tracer
         # Time spent queued behind other tenants at the arbiter —
@@ -213,12 +260,12 @@ class NVMeDevice:
             yield sim.timeout(params.flush_ns)
             tr.end(token)
             self._complete(qp, cmd, Status.SUCCESS)
-            return
+            return None
 
         fault = self._validate(cmd)
         if fault is not None:
             self._complete(qp, cmd, fault[0], reason=fault[1])
-            return
+            return None
 
         inj = self.injector
         translation_ns = 0
@@ -231,7 +278,7 @@ class NVMeDevice:
                 self.translation_faults += 1
                 self._complete(qp, cmd, Status.TRANSLATION_FAULT,
                                reason="injected translation fault")
-                return
+                return None
             try:
                 ats = self.iommu.translate_vba(
                     qp.pasid, cmd.addr, cmd.nbytes,
@@ -241,7 +288,7 @@ class NVMeDevice:
                 self.translation_faults += 1
                 self._complete(qp, cmd, Status.TRANSLATION_FAULT,
                                reason=exc.reason)
-                return
+                return None
             translation_ns = ats.cost_ns
             segments = self._segments(ats.pairs, cmd.addr, cmd.nbytes)
         else:
@@ -251,7 +298,7 @@ class NVMeDevice:
             if not self.backend.check_range(lba, nblocks):
                 self._complete(qp, cmd, Status.LBA_OUT_OF_RANGE,
                                reason=f"lba {lba} x{nblocks}")
-                return
+                return None
 
         if inj.active:
             spike_ns, terminal = inj.media_verdict(cmd.is_write, segments,
@@ -264,13 +311,13 @@ class NVMeDevice:
                 # until the host times out and aborts it.
                 self.dropped_completions += 1
                 self._lost[(qp.qid, cmd.cid)] = (qp, cmd)
-                return
+                return None
             if terminal is not None:
                 status = (Status.MEDIA_WRITE_FAULT if cmd.is_write
                           else Status.MEDIA_READ_ERROR)
                 self._complete(qp, cmd, status,
                                reason=f"injected {terminal.value}")
-                return
+                return None
 
         # Validate the host DMA buffer through the IOMMU (cheap; IOTLB-hot).
         if cmd.buffer_iova and qp.pasid:
@@ -281,97 +328,80 @@ class NVMeDevice:
                 self.translation_faults += 1
                 self._complete(qp, cmd, Status.TRANSLATION_FAULT,
                                reason=exc.reason)
-                return
+                return None
             yield sim.timeout(buf_cost)
 
         if cmd.is_write:
             yield from self._do_write(cmd, segments, translation_ns)
-            data = None
             token = tr.begin("nvme", "complete", parent=cmd.trace)
             yield sim.timeout(params.completion_post_ns)
             tr.end(token)
-            self._complete(qp, cmd, Status.SUCCESS, data=data,
-                           nbytes=cmd.nbytes)
-            return
+            self._complete(qp, cmd, Status.SUCCESS, nbytes=cmd.nbytes)
+            return None
 
         if translation_ns:
             # Reads need the LBA before media access, but the wait
             # happens in the IOMMU, not on a media channel: park the
-            # command and free this channel for other work.
-            sim.process(self._await_translation(qp, cmd, segments,
-                                                translation_ns))
+            # command and free this channel for other work.  A
+            # zero-delay boot event starts the wait, so its timer takes
+            # the same place in the queue a spawned process's would.
+            boot = sim.event()
+            boot.callbacks.append(self._await_translation)
+            boot.succeed((qp, cmd, segments, translation_ns))
+            return None
+        return segments
+
+    def _await_translation(self, ev: Event) -> None:
+        """Both halves of a parked read's translation wait (a callback).
+
+        On the zero-delay boot event it opens the ``nvme/translate``
+        span and arms the ATS timer, with itself as the timer's
+        callback; when the timer fires it closes the span and re-queues
+        the read for any channel.
+        """
+        qp, cmd, segments, arg = ev.value
+        if isinstance(ev, Timeout):
+            self.tracer.end(arg)
+            self._translated.put_nowait((qp, cmd, segments))
+            self._work.put_nowait((qp.qid, cmd.cid))
             return
-        yield from self._serve_read(qp, cmd, segments)
-
-    def _await_translation(self, qp: QueuePair, cmd: Command,
-                           segments: List[Tuple[int, int]],
-                           translation_ns: int):
         token = self.tracer.begin("nvme", "translate", parent=cmd.trace)
-        yield self.sim.timeout(translation_ns)
-        self.tracer.end(token)
-        self._translated.put((qp, cmd, segments))
-        self._work.put((qp.qid, cmd.cid))
-
-    def _serve_read(self, qp: QueuePair, cmd: Command,
-                    segments: List[Tuple[int, int]]):
-        data = yield from self._do_read(cmd, segments)
-        token = self.tracer.begin("nvme", "complete", parent=cmd.trace)
-        yield self.sim.timeout(self.params.completion_post_ns)
-        self.tracer.end(token)
-        self._complete(qp, cmd, Status.SUCCESS, data=data,
-                       nbytes=cmd.nbytes)
-
-    def _do_read(self, cmd: Command,
-                 segments: List[Tuple[int, int]]):
-        token = self.tracer.begin("nvme", "media", parent=cmd.trace)
-        yield self.sim.timeout(self.backend.media_ns(Opcode.READ))
-        self.tracer.end(token)
-        token = self.tracer.begin("nvme", "transfer", parent=cmd.trace)
-        yield from self._transfer(cmd.nbytes)
-        self.tracer.end(token)
-        chunks = []
-        for lba, nblocks in segments:
-            chunk = self.backend.read_blocks(lba, nblocks)
-            if chunk is not None:
-                chunks.append(chunk)
-        return b"".join(chunks) if chunks else None
+        timer = self.sim.timeout(arg, (qp, cmd, segments, token))
+        timer.callbacks.append(self._await_translation)
 
     def _do_write(self, cmd: Command, segments: List[Tuple[int, int]],
                   translation_ns: int):
         # Host->device transfer overlaps the VBA translation (Section 4.3):
         # data lands in device memory while the IOMMU resolves the LBA.
-        tr = self.tracer
-        t0 = self.sim.now
+        sim, backend, tr = self.sim, self.backend, self.tracer
+        t0 = sim.now
+        nbytes = cmd.nbytes
+        link_ns = backend.link_ns(nbytes)
+        total_ns = backend.transfer_ns(nbytes)
         token = tr.begin("nvme", "transfer", parent=cmd.trace)
-        yield from self._transfer(cmd.nbytes)
+        yield self._xfer_link.request()
+        try:
+            yield sim.timeout(link_ns)
+        finally:
+            self._xfer_link.release()
+        if total_ns > link_ns:
+            yield sim.timeout(total_ns - link_ns)
         tr.end(token)
-        elapsed = self.sim.now - t0
+        elapsed = sim.now - t0
         if translation_ns > elapsed:
             token = tr.begin("nvme", "translate", parent=cmd.trace)
-            yield self.sim.timeout(translation_ns - elapsed)
+            yield sim.timeout(translation_ns - elapsed)
             tr.end(token)
         token = tr.begin("nvme", "media", parent=cmd.trace)
-        yield self.sim.timeout(self.backend.media_ns(Opcode.WRITE))
+        yield sim.timeout(backend.media_ns(Opcode.WRITE))
         tr.end(token)
         offset = 0
         for lba, nblocks in segments:
             chunk = None
             if cmd.data is not None:
                 chunk = cmd.data[offset:offset + nblocks * LBA_SIZE]
-            self.backend.write_blocks(lba, nblocks, chunk)
+            backend.write_blocks(lba, nblocks, chunk)
             offset += nblocks * LBA_SIZE
-
-    def _transfer(self, nbytes: int):
-        """Move ``nbytes`` across the shared link at the controller rate."""
-        link_ns = self.backend.link_ns(nbytes)
-        total_ns = self.backend.transfer_ns(nbytes)
-        yield self._xfer_link.request()
-        try:
-            yield self.sim.timeout(link_ns)
-        finally:
-            self._xfer_link.release()
-        if total_ns > link_ns:
-            yield self.sim.timeout(total_ns - link_ns)
 
     def _validate(self, cmd: Command) -> Optional[Tuple[Status, str]]:
         if cmd.addr_kind is AddressKind.VBA:

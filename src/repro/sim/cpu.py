@@ -107,7 +107,8 @@ class Thread:
         """Spend ``ns`` of CPU time; the core stays held afterwards."""
         if ns < 0:
             raise ValueError(f"negative compute time: {ns}")
-        yield from self._acquire_core()
+        if not self._on_core:
+            yield from self._acquire_core()
         if ns:
             yield self.sim.timeout(int(ns))
         self.compute_ns += int(ns)
@@ -124,7 +125,8 @@ class Thread:
 
     def poll(self, event: Event) -> Generator[Event, Any, Any]:
         """Busy-wait on-core until ``event`` triggers."""
-        yield from self._acquire_core()
+        if not self._on_core:
+            yield from self._acquire_core()
         t0 = self.sim.now
         value = yield event
         waited = self.sim.now - t0

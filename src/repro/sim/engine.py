@@ -26,11 +26,12 @@ so the scheduler is organised around four hot-path ideas (see
   processes attached, ``run()`` and ``_post`` skip every
   instrumentation check; creating a sanitizer or an observer process
   switches the simulator (even mid-run) to the instrumented loop.
-- **flattened process dispatch** — ``Process._step`` calls cached
-  ``gen.send``/``gen.throw`` bound methods and duck-types the yielded
-  event; ``AllOf``/``AnyOf`` accumulate results incrementally instead
-  of rescanning their event list, and detach their callbacks from
-  losing events when they trigger.
+- **flattened process dispatch** — ``Process._resume`` steps the
+  generator itself through cached ``gen.send``/``gen.throw`` bound
+  methods and duck-types the yielded event; ``AllOf``/``AnyOf``
+  accumulate results incrementally instead of rescanning their event
+  list, and detach their callbacks from losing events when they
+  trigger.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ class Process(Event):
             raise SimulationError(f"process target must be a generator, got {gen!r}")
         super().__init__(sim)
         self.gen = gen
-        # Cached bound methods: _step drives the generator once per
+        # Cached bound methods: _resume drives the generator once per
         # resumption, so the attribute lookups are per-event cost.
         self._send = gen.send
         self._throw = gen.throw
@@ -249,29 +250,29 @@ class Process(Event):
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-        self._waiting_on = None
-        self._step(None, Interrupt(poke._value))
+        # Deliver through the ordinary resume path: the poke turns into
+        # a failed event carrying the Interrupt, which _resume throws
+        # into the generator (and defuses, so the run loop does not
+        # re-raise it).
+        poke._exc = Interrupt(poke._value)
+        self._resume(poke)
 
     def _resume(self, event: Event) -> None:
+        """Step the generator with ``event``'s outcome, then park it on
+        the next event it yields."""
         self._waiting_on = None
         exc = event._exc
-        if exc is None:
-            self._step(event._value)
-        else:
+        if exc is not None:
             event._defused = True
-            self._step(None, exc)
-
-    def _step(self, send: Any = None,
-              throw: Optional[BaseException] = None) -> None:
         if self._triggered:
             return
         sim = self.sim
         sim._active_process = self
         try:
-            if throw is None:
-                target = self._send(send)
+            if exc is None:
+                target = self._send(event._value)
             else:
-                target = self._throw(throw)
+                target = self._throw(exc)
         except StopIteration as stop:
             self.succeed(stop.value)
             sim._active_process = None
@@ -481,11 +482,21 @@ class Simulator:
         if pool:
             if delay < 0:
                 raise SimulationError(f"negative timeout delay: {delay}")
+            # A pooled timer is already triggered with no callbacks
+            # (see _run_fast); only its delay and value differ.
             to = pool.pop()
             to.delay = d = int(delay)
             to._value = value
-            to._triggered = True
-            self._post(to, d)
+            if self._instrumented:
+                self._post(to, d)
+                return to
+            # _post_fast, inlined: file the timer straight into the queue.
+            self._seq = seq = self._seq + 1
+            self._count += 1
+            if d == 0:
+                self._imm.append((self.now, seq, to))
+            else:
+                self._place(self.now + d, seq, to)
             return to
         return Timeout(self, delay, value)
 
@@ -626,31 +637,35 @@ class Simulator:
     def _run_fast(self, until: Optional[int]) -> int:
         """The no-sanitizer/no-observer drain loop."""
         pooling = self._pooling
+        imm = self._imm
+        pool_to = self._pool_to
+        pool_ev = self._pool_ev
+        now = self.now
         while self._count:
             if self._instrumented:
                 # An observer process appeared mid-run.
                 return self._run_slow(until)
             cur = self._cur
-            if cur and cur[0][0] == self.now:
+            if cur and cur[0][0] == now:
                 event = heappop(cur)[2]
-            elif self._imm_head < len(self._imm):
-                imm = self._imm
-                h = self._imm_head
-                event = imm[h][2]
-                imm[h] = None
-                h += 1
-                if h == len(imm):
-                    del imm[:]
-                    self._imm_head = 0
-                else:
-                    self._imm_head = h
             else:
-                when = cur[0][0] if cur else self._advance()
-                if until is not None and when > until:
-                    self.now = until
-                    return self.now
-                self.now = when
-                continue
+                h = self._imm_head
+                if h < len(imm):
+                    event = imm[h][2]
+                    imm[h] = None
+                    h += 1
+                    if h == len(imm):
+                        del imm[:]
+                        self._imm_head = 0
+                    else:
+                        self._imm_head = h
+                else:
+                    when = cur[0][0] if cur else self._advance()
+                    if until is not None and when > until:
+                        self.now = until
+                        return until
+                    self.now = now = when
+                    continue
             self._count -= 1
             callbacks = event.callbacks
             event.callbacks = None
@@ -660,23 +675,27 @@ class Simulator:
             if event._exc is not None and not event._defused:
                 raise event._exc
             if pooling and getrefcount(event) == 2:
+                # Reset only what can differ from a fresh event.  Events
+                # processed here were posted in fast mode, so none is an
+                # observer event; a Timeout never fails and stays
+                # triggered, so its callbacks and value are all it needs.
                 cls = event.__class__
                 if cls is Timeout:
-                    pool = self._pool_to
+                    if len(pool_to) < _POOL_CAP:
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        event._value = None
+                        pool_to.append(event)
                 elif cls is Event:
-                    pool = self._pool_ev
-                else:
-                    continue
-                if len(pool) < _POOL_CAP:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._value = None
-                    event._exc = None
-                    event._triggered = False
-                    event._defused = False
-                    event._observer = False
-                    pool.append(event)
-        if until is not None and until > self.now:
+                    if len(pool_ev) < _POOL_CAP:
+                        callbacks.clear()
+                        event.callbacks = callbacks
+                        event._value = None
+                        event._exc = None
+                        event._triggered = False
+                        event._defused = False
+                        pool_ev.append(event)
+        if until is not None and until > now:
             self.now = until
         return self.now
 
@@ -732,10 +751,11 @@ class Simulator:
                     callbacks.clear()
                     event.callbacks = callbacks
                     event._value = None
-                    event._exc = None
-                    event._triggered = False
-                    event._defused = False
                     event._observer = False
+                    if cls is Event:
+                        event._exc = None
+                        event._triggered = False
+                        event._defused = False
                     pool.append(event)
         if until is not None:
             self.now = max(self.now, until)
@@ -756,4 +776,14 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         return self._count
+
+    @property
+    def events_scheduled(self) -> int:
+        """Events posted to the queue since the simulator was created.
+
+        Each post takes the next tie-break sequence number, so this is
+        the ``seq`` of the most recent post.  Deterministic: per-op
+        event budgets are stated in these units.
+        """
+        return self._seq
 

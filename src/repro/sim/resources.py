@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generator, List, Optional
 
-from .engine import Event, Simulator
+from .engine import Event, SimulationError, Simulator
 
 __all__ = ["Lock", "Semaphore", "Resource", "Store"]
 
@@ -138,20 +138,39 @@ class Store:
         return list(self._items)
 
     def put(self, item: Any) -> Event:
+        """Queue ``item``; the returned event triggers once it is in.
+
+        A bounded store that is full parks the put until a ``get``
+        makes room.
+        """
         ev = self.sim.event()
-        immediate = True
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
+        if self._getters or self.capacity is None \
+                or len(self._items) < self.capacity:
+            self.put_nowait(item)
             ev.succeed()
         else:
             self._putters.append((ev, item))
-            immediate = False
-        if self.sim._san is not None:
-            self.sim._san.note_sync_op(self, "put", immediate)
+            if self.sim._san is not None:
+                self.sim._san.note_sync_op(self, "put", False)
         return ev
+
+    def put_nowait(self, item: Any) -> None:
+        """Queue ``item`` without an event of its own.
+
+        Hands the item to the oldest parked getter, or appends it.  For
+        producers that never wait on their put: a :meth:`put` on a store
+        with room posts an event nobody needs.  Raises
+        :class:`SimulationError` on a full bounded store.
+        """
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        elif self.capacity is None or len(self._items) < self.capacity:
+            self._items.append(item)
+        else:
+            raise SimulationError(
+                f"put_nowait on a full store (capacity {self.capacity})")
+        if self.sim._san is not None:
+            self.sim._san.note_sync_op(self, "put", True)
 
     def get(self) -> Event:
         ev = self.sim.event()

@@ -86,3 +86,24 @@ def test_armed_timeout_recovers_the_same_drop():
     assert m.blockio.timeouts + m.volume.timeouts >= 1
     assert m.blockio.aborts + m.volume.aborts >= 1
     assert not m.sim.sanitizer.findings("stranded-process")
+
+
+def test_classification_is_fixed_at_adoption():
+    # active/may_drop describe the rules the injector adopted, not the
+    # live plan: a DROP rule appended later must not arm host timeouts
+    # for a rule that can never fire (the first fault query refuses the
+    # mutated plan instead, as above).
+    plan = FaultPlan().latency_spikes(nth=10 ** 6)
+    m = machine(plan)
+    inj = m.device.injector
+    assert inj.active and not inj.may_drop
+    plan.dropped_completions(nth=1, count=1)
+    assert plan.may_drop
+    assert not inj.may_drop
+    assert inj.active
+
+    empty = FaultPlan()
+    m = machine(empty)
+    empty.dropped_completions(nth=1, count=1)
+    assert not m.device.injector.active
+    assert not m.device.injector.may_drop

@@ -131,3 +131,50 @@ def test_async_write_abort_surfaces_as_async_error():
     assert lib.io_aborts == 1
     assert lib.async_write_errors == 1
     assert m.device.commands_aborted == 1
+
+
+# Six 4 KiB direct reads after a kernel write of their data: the
+# completion instant of each read, then (faults handled, kernel
+# fallbacks, timeouts, aborts, direct reads, device translation faults,
+# dropped completions, device aborts).  The device parks a VBA read in
+# the IOMMU without a process of its own; these instants pin that the
+# retry, fallback and abort paths still see exactly the same timeline.
+VBA_READ_TIMELINES = [
+    (FaultPlan(),
+     [18735, 23607, 28479, 33351, 38223, 43095], (0, 0, 0, 0, 6, 0, 0, 0)),
+    (FaultPlan().translation_faults(nth=2, count=1),
+     [18735, 24697, 29569, 34441, 39313, 44185], (1, 0, 0, 0, 6, 1, 0, 0)),
+    (FaultPlan().translation_faults(nth=2, count=100),
+     [18735, 29958, 37801, 45644, 53487, 61330], (3, 1, 0, 0, 1, 3, 0, 0)),
+    (FaultPlan().dropped_completions(nth=3, count=1),
+     [18735, 5073607, 5078479, 5083351, 5088223, 5093095],
+     (0, 0, 1, 1, 6, 0, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("plan,instants,counters", VBA_READ_TIMELINES,
+                         ids=["clean", "one-fault", "fallback", "drop"])
+def test_vba_read_timeline_under_faults(plan, instants, counters):
+    m = machine(plan)
+    proc = m.spawn_process()
+    lib = m.userlib(proc)
+    t = proc.new_thread()
+    pattern = bytes(range(256)) * 64
+
+    def body():
+        f = yield from lib.open(t, "/x", write=True, create=True)
+        yield from m.kernel.sys_pwrite(proc, t, f.state.fd, 0,
+                                       len(pattern), pattern)
+        stamps = []
+        for i in range(6):
+            off = (i % 4) * 4096
+            n, data = yield from f.pread(t, off, 4096)
+            assert n == 4096 and data == pattern[off:off + 4096]
+            stamps.append(m.now)
+        return stamps
+
+    assert m.run_process(body()) == instants
+    assert (lib.faults_handled, lib.kernel_fallbacks, lib.io_timeouts,
+            lib.io_aborts, lib.direct_reads, m.device.translation_faults,
+            m.device.dropped_completions,
+            m.device.commands_aborted) == counters

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.cpu import CPUSet
+from repro.sim.cpu import CPUSet, Thread
 from repro.sim.engine import Simulator
 
 
@@ -169,3 +169,67 @@ def test_negative_compute_rejected():
     t = CPUSet(sim, 1).thread()
     with pytest.raises(ValueError):
         sim.run_process(t.compute(-5))
+
+
+class _AlwaysAcquire(Thread):
+    """compute/poll as they were before the held-core shortcut: always
+    through the ``_acquire_core`` sub-generator."""
+
+    def compute(self, ns):
+        if ns < 0:
+            raise ValueError(f"negative compute time: {ns}")
+        yield from self._acquire_core()
+        if ns:
+            yield self.sim.timeout(int(ns))
+        self.compute_ns += int(ns)
+        self.cpus.busy_ns += int(ns)
+
+    def poll(self, event):
+        yield from self._acquire_core()
+        t0 = self.sim.now
+        value = yield event
+        waited = self.sim.now - t0
+        self.poll_ns += waited
+        self.cpus.busy_ns += waited
+        return value
+
+
+def _held_core_run(thread_cls):
+    """Two threads on one core: compute and poll with and without the
+    core held, after a block, and while the other thread waits for the
+    core."""
+    sim = Simulator()
+    cpus = CPUSet(sim, 1)
+    a, b = thread_cls(cpus, "a"), thread_cls(cpus, "b")
+    log = []
+
+    def body(t, delays):
+        first = yield from t.poll(sim.timeout(3, "first"))
+        log.append((t.name, sim.now, first, sim.events_scheduled))
+        for i, ns in enumerate(delays):
+            yield from t.compute(ns)
+            value = yield from t.poll(sim.timeout(ns // 2 + 1, ns))
+            log.append((t.name, sim.now, value, sim.events_scheduled))
+            if i % 2:
+                t.release_core()
+                value = yield from t.poll(sim.timeout(4, "off-core"))
+                log.append((t.name, sim.now, value, sim.events_scheduled))
+            yield from t.compute(0)
+        got = yield from t.block(sim.timeout(30, "io"))
+        yield from t.compute(5)
+        log.append((t.name, sim.now, got, sim.events_scheduled))
+        t.release_core()
+
+    sim.process(body(a, (100, 40, 7)))
+    sim.process(body(b, (10, 60)))
+    sim.run()
+    accounting = [(t.compute_ns, t.poll_ns, t.block_ns, t.run_queue_ns)
+                  for t in (a, b)]
+    return log, accounting, cpus.busy_ns, sim.now, sim.events_scheduled
+
+
+def test_held_core_shortcut_keeps_timeline_and_accounting():
+    assert _held_core_run(Thread) == _held_core_run(_AlwaysAcquire)
+    log, accounting, busy, _now, _events = _held_core_run(Thread)
+    assert accounting[1][3] > 0        # b really queued for the core
+    assert busy == sum(c + p for c, p, _b, _q in accounting)

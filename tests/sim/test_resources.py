@@ -165,3 +165,67 @@ class TestStore:
         store.put("a")
         assert store.try_get() == "a"
         assert len(store) == 0
+
+
+class TestStorePutNowait:
+    def test_wakes_parked_getters_in_fifo_order(self):
+        sim = Simulator()
+        store = Store(sim)
+        got = []
+
+        def consumer(name):
+            item = yield store.get()
+            got.append((name, item, sim.now))
+
+        for name in ("a", "b", "c"):
+            sim.process(consumer(name))
+        sim.run()                          # all three parked
+        sim.timeout(7).add_callback(
+            lambda ev: [store.put_nowait(i) for i in (1, 2, 3)])
+        sim.run()
+        assert got == [("a", 1, 7), ("b", 2, 7), ("c", 3, 7)]
+        assert len(store) == 0
+
+    def test_posts_no_event_of_its_own(self):
+        sim = Simulator()
+        store = Store(sim)
+        store.put_nowait("x")              # no getter: just queued
+        assert sim.events_scheduled == 0
+        assert store.items == ["x"]
+        getter = store.get()               # immediate get posts its event
+        assert sim.events_scheduled == 1
+        parked = Store(sim).get()
+        assert sim.events_scheduled == 1   # a parked get posts nothing
+        before = sim.events_scheduled
+        store.put_nowait("y")
+        store.put("z")                     # put posts its own event
+        assert sim.events_scheduled == before + 1
+        sim.run()
+        assert getter.value == "x" and not parked.triggered
+
+    def test_wake_costs_only_the_getters_event(self):
+        # put() wakes a getter with two posts (the getter's and its
+        # own); put_nowait() with one, in the same place in the queue.
+        def wake(put):
+            sim = Simulator()
+            store = Store(sim)
+            order = []
+            store.get().add_callback(lambda ev: order.append(ev.value))
+            sim.event().succeed()          # a bystander posted earlier
+            before = sim.events_scheduled
+            put(store, "item")
+            sim.run()
+            return order, sim.events_scheduled - before
+
+        assert wake(Store.put) == (["item"], 2)
+        assert wake(Store.put_nowait) == (["item"], 1)
+
+    def test_full_bounded_store_refuses(self):
+        from repro.sim.engine import SimulationError
+
+        sim = Simulator()
+        store = Store(sim, capacity=1)
+        store.put_nowait(1)
+        with pytest.raises(SimulationError, match="full store"):
+            store.put_nowait(2)
+        assert store.items == [1]
