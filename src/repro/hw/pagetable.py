@@ -395,27 +395,33 @@ class PageTable:
     # -- walking ---------------------------------------------------------
 
     def walk(self, va: int) -> WalkResult:
-        """Resolve ``va`` recording the interior entries visited."""
+        """Resolve ``va`` recording the interior entries visited.
+
+        Runs once per translation, so the index and flag arithmetic of
+        ``_index``, ``pte_present`` and ``pte_writable`` is inlined.
+        """
         self._check_va(va)
         node = self.root
         path: List[Tuple[int, int]] = []
         writable = True
+        shift = PAGE_SHIFT + INDEX_BITS * (LEVEL_PGD - 1)
         for level in (LEVEL_PGD, LEVEL_PUD, LEVEL_PMD):
-            idx = _index(va, level)
+            idx = (va >> shift) & (ENTRIES_PER_NODE - 1)
             entry = node.entries[idx]
             path.append((level, entry))
-            if not pte_present(entry):
+            if not entry & _PRESENT:
                 return WalkResult(0, level, path, False)
-            writable = writable and pte_writable(entry)
+            writable = writable and bool(entry & _WRITABLE)
             assert node.children is not None
             child = node.children[idx]
             if child is None:
                 return WalkResult(0, level, path, False)
             node = child
-        leaf = node.entries[_index(va, LEVEL_PT)]
-        if not pte_present(leaf):
+            shift -= INDEX_BITS
+        leaf = node.entries[(va >> PAGE_SHIFT) & (ENTRIES_PER_NODE - 1)]
+        if not leaf & _PRESENT:
             return WalkResult(0, LEVEL_PT, path, False)
-        writable = writable and pte_writable(leaf)
+        writable = writable and bool(leaf & _WRITABLE)
         return WalkResult(leaf, LEVEL_PT, path, writable)
 
     # -- accounting ---------------------------------------------------------

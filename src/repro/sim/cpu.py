@@ -20,7 +20,7 @@ not from time-slicing detail.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from .engine import Event, Simulator
 from .resources import Resource
@@ -63,8 +63,9 @@ class CPUSet:
 class Thread:
     """Execution context that accounts for CPU occupancy.
 
-    A thread may hold at most one core.  All methods are generators
-    meant to be driven with ``yield from`` inside a simulation process.
+    A thread may hold at most one core.  All methods except
+    :meth:`release_core` are meant to be driven with ``yield from``
+    inside a simulation process.
     """
 
     def __init__(self, cpus: CPUSet, name: str = "thread"):
@@ -103,8 +104,27 @@ class Thread:
 
     # -- execution ---------------------------------------------------------
 
-    def compute(self, ns: int) -> Generator[Event, Any, None]:
-        """Spend ``ns`` of CPU time; the core stays held afterwards."""
+    def compute(self, ns: int) -> Iterable[Event]:
+        """Spend ``ns`` of CPU time; the core stays held afterwards.
+
+        Drive it with ``yield from``.  When the thread already holds a
+        core and ``ns > 0`` there is nothing to wait for but the work
+        itself, so the timer is scheduled right here and returned as a
+        one-element tuple; ``compute_ns`` and ``busy_ns`` are charged
+        when it is scheduled rather than when it fires.  That is exact
+        because nothing reads those counters in the middle of a charge:
+        ``obs/monitor.py`` samples only core ownership, and no model
+        code interrupts a thread.  Every other case (no core yet, zero
+        or negative ``ns``) runs the generator below.
+        """
+        if ns > 0 and self._on_core:
+            ns = int(ns)
+            self.compute_ns += ns
+            self.cpus.busy_ns += ns
+            return (self.sim.timeout(ns),)
+        return self._compute(ns)
+
+    def _compute(self, ns: int) -> Generator[Event, Any, None]:
         if ns < 0:
             raise ValueError(f"negative compute time: {ns}")
         if not self._on_core:

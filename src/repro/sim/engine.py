@@ -12,33 +12,39 @@ so the scheduler is organised around four hot-path ideas (see
 ``docs/engine_performance.md`` for the full design):
 
 - **bucketed near/far event queue** — a calendar-style ring of
-  1024 ns buckets covers the near horizon; an append-only FIFO holds
-  the (very common) events posted *at the current instant*; a plain
-  heap catches far timers.  Pop order is still exactly ``(time, seq)``
-  — the differential harness (``tests/sim/test_engine_diff.py``)
-  proves timelines byte-identical against the pre-overhaul single-heap
-  engine kept as a test oracle in ``tests/sim/engine_reference.py``.
+  1024 ns buckets covers the near horizon; a FIFO deque (appended on
+  post, drained with ``popleft``) holds the (very common) events
+  posted *at the current instant*; a plain heap catches far timers.
+  Pop order is still exactly ``(time, seq)`` — the differential
+  harness (``tests/sim/test_engine_diff.py``) proves timelines
+  byte-identical against the pre-overhaul single-heap engine kept as a
+  test oracle in ``tests/sim/engine_reference.py``.
 - **event/timeout freelists** — processed events that nobody else
-  references (checked by refcount) are recycled, so steady-state runs
-  allocate near-zero events.  Pooling is disabled under
-  ``sanitize=True`` so per-event provenance stays exact.
+  references (checked by refcount) are recycled into bounded LIFO
+  deques, so steady-state runs allocate near-zero events.  Pooling is
+  disabled under ``sanitize=True`` so per-event provenance stays
+  exact.
 - **pre-bound fast paths** — with no sanitizer and no observer
   processes attached, ``run()`` and ``_post`` skip every
-  instrumentation check; creating a sanitizer or an observer process
-  switches the simulator (even mid-run) to the instrumented loop.
+  instrumentation check, and ``Event.succeed`` and the pooled
+  ``timeout()`` file their entry into the queue themselves; creating a
+  sanitizer or an observer process switches the simulator (even
+  mid-run) to the instrumented loop.
 - **flattened process dispatch** — ``Process._resume`` steps the
   generator itself through cached ``gen.send``/``gen.throw`` bound
-  methods and duck-types the yielded event; ``AllOf``/``AnyOf``
-  accumulate results incrementally instead of rescanning their event
-  list, and detach their callbacks from losing events when they
-  trigger.
+  methods, duck-types the yielded event, parks on it with a wake-up
+  bound once per process, and loops (rather than recursing) through
+  events that are already processed; ``AllOf``/``AnyOf`` accumulate
+  results incrementally instead of rescanning their event list, and
+  detach their callbacks from losing events when they trigger.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional
 
 __all__ = [
     "Event",
@@ -127,7 +133,14 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        self.sim._post(self)
+        sim = self.sim
+        if sim._instrumented:
+            sim._post(self)
+            return self
+        # _post_fast, inlined: a success is always posted at delay 0.
+        sim._seq = seq = sim._seq + 1
+        sim._count += 1
+        sim._imm.append((sim.now, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -178,7 +191,7 @@ class Process(Event):
     """
 
     __slots__ = ("gen", "name", "daemon", "observer", "_waiting_on",
-                 "_send", "_throw")
+                 "_send", "_throw", "_wake")
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = "",
                  daemon: bool = False, observer: bool = False):
@@ -190,6 +203,9 @@ class Process(Event):
         # resumption, so the attribute lookups are per-event cost.
         self._send = gen.send
         self._throw = gen.throw
+        # The callback parked on every awaited event, bound once so a
+        # wait allocates no bound method.
+        self._wake = self._resume
         self.name = name or getattr(gen, "__name__", "process")
         # Daemon processes are perpetual servers (device channels,
         # poller threads): the sanitizer exempts them from stranded/
@@ -208,7 +224,7 @@ class Process(Event):
         bootstrap = sim.event()
         if observer:
             bootstrap._observer = True
-        bootstrap.callbacks.append(self._resume)
+        bootstrap.callbacks.append(self._wake)
         bootstrap.succeed()
 
     @property
@@ -222,7 +238,7 @@ class Process(Event):
         target = self._waiting_on
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._wake)
             except ValueError:
                 pass
         self._waiting_on = None
@@ -247,7 +263,7 @@ class Process(Event):
         target = self._waiting_on
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._wake)
             except ValueError:
                 pass
         # Deliver through the ordinary resume path: the poke turns into
@@ -259,49 +275,56 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Step the generator with ``event``'s outcome, then park it on
-        the next event it yields."""
-        self._waiting_on = None
-        exc = event._exc
-        if exc is not None:
-            event._defused = True
-        if self._triggered:
-            return
+        the next event it yields.
+
+        A yielded event that is already processed resumes the generator
+        again at once, in this same loop, so any number of such yields
+        in a row runs in constant stack depth.
+        """
         sim = self.sim
-        sim._active_process = self
-        try:
-            if exc is None:
-                target = self._send(event._value)
-            else:
-                target = self._throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
+        while True:
+            self._waiting_on = None
+            exc = event._exc
+            if exc is not None:
+                event._defused = True
+            if self._triggered:
+                return
+            sim._active_process = self
+            try:
+                if exc is None:
+                    target = self._send(event._value)
+                else:
+                    target = self._throw(exc)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                sim._active_process = None
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                sim._active_process = None
+                return
             sim._active_process = None
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            sim._active_process = None
-            return
-        sim._active_process = None
-        try:
-            target_sim = target.sim
-            cbs = target.callbacks
-        except AttributeError:
-            self.fail(
-                SimulationError(
-                    f"process {self.name!r} yielded {target!r}; "
-                    "processes must yield Event objects"
+            try:
+                target_sim = target.sim
+                cbs = target.callbacks
+            except AttributeError:
+                self.fail(
+                    SimulationError(
+                        f"process {self.name!r} yielded {target!r}; "
+                        "processes must yield Event objects"
+                    )
                 )
-            )
-            return
-        if target_sim is not sim:
-            self.fail(SimulationError("event belongs to a different simulator"))
-            return
-        self._waiting_on = target
-        if cbs is None:
+                return
+            if target_sim is not sim:
+                self.fail(
+                    SimulationError("event belongs to a different simulator"))
+                return
+            self._waiting_on = target
+            if cbs is not None:
+                cbs.append(self._wake)
+                return
             # Already processed: resume immediately at the current time.
-            self._resume(target)
-        else:
-            cbs.append(self._resume)
+            event = target
 
 
 class Condition(Event):
@@ -403,10 +426,11 @@ class Simulator:
     Scheduled events live in one of four places, all popped in exact
     ``(time, seq)`` order:
 
-    - ``_imm`` — an append-only FIFO of events posted at the *current*
-      instant (``delay == 0``).  Sequence numbers increase with
-      insertion, and nothing earlier at the same timestamp can still be
-      outside the drain loop, so FIFO order is (time, seq) order.
+    - ``_imm`` — a FIFO deque of events posted at the *current*
+      instant (``delay == 0``), appended on post and drained with
+      ``popleft``.  Sequence numbers increase with insertion, and
+      nothing earlier at the same timestamp can still be outside the
+      drain loop, so FIFO order is (time, seq) order.
     - ``_cur`` — a small heap holding the current calendar bucket.
     - ``_buckets`` — the calendar ring: events within the near horizon
       (``_N_BUCKETS << _W_SHIFT`` ns), appended unsorted and heapified
@@ -428,7 +452,9 @@ class Simulator:
 
     ``pooling`` controls the event freelists (default: on exactly when
     the sanitizer is off).  Recycled events are only ever ones with no
-    outside references, so pooling is invisible to model code.
+    outside references, so pooling is invisible to model code.  Each
+    freelist is a LIFO ``deque(maxlen=_POOL_CAP)``: recycling into a
+    full one drops its oldest entry, so the bound needs no check.
     """
 
     def __init__(self, sanitize: bool = False,
@@ -439,14 +465,12 @@ class Simulator:
         self._count = 0              # queued events, all structures
         self._obs_count = 0          # queued observer events
         # current-instant FIFO: (time, seq, event) triples at self.now
-        self._imm: List = []
-        self._imm_head = 0
+        self._imm: Deque = deque()
         # calendar ring + current bucket
         self._cur: List = []         # heap: this bucket's entries
         self._cur_abs = 0            # absolute bucket number of _cur
         self._buckets: List[List] = [[] for _ in range(_N_BUCKETS)]
         self._bucket_heap: List[int] = []   # populated absolute buckets
-        self._near_count = 0         # entries across _buckets
         self._far: List = []         # heap: beyond the near horizon
         self._active_process: Optional[Process] = None
         self._san = None
@@ -457,8 +481,8 @@ class Simulator:
         if pooling is None:
             pooling = self._san is None
         self._pooling = bool(pooling)
-        self._pool_ev: List[Event] = []
-        self._pool_to: List[Timeout] = []
+        self._pool_ev: Deque[Event] = deque(maxlen=_POOL_CAP)
+        self._pool_to: Deque[Timeout] = deque(maxlen=_POOL_CAP)
         # Pre-bound scheduling path; _switch_to_instrumented swaps it.
         self._post = self._post_fast
         if self._san is not None:
@@ -490,13 +514,25 @@ class Simulator:
             if self._instrumented:
                 self._post(to, d)
                 return to
-            # _post_fast, inlined: file the timer straight into the queue.
+            # _post_fast and _place, inlined: file the timer straight
+            # into the current instant, bucket, ring or far heap.
             self._seq = seq = self._seq + 1
             self._count += 1
             if d == 0:
                 self._imm.append((self.now, seq, to))
+                return to
+            t = self.now + d
+            ab = t >> _W_SHIFT
+            cur_abs = self._cur_abs
+            if ab <= cur_abs:
+                heappush(self._cur, (t, seq, to))
+            elif ab < cur_abs + _N_BUCKETS:
+                slot = self._buckets[ab & _B_MASK]
+                if not slot:
+                    heappush(self._bucket_heap, ab)
+                slot.append((t, seq, to))
             else:
-                self._place(self.now + d, seq, to)
+                heappush(self._far, (t, seq, to))
             return to
         return Timeout(self, delay, value)
 
@@ -561,7 +597,6 @@ class Simulator:
             if not slot:
                 heappush(self._bucket_heap, ab)
             slot.append((t, seq, event))
-            self._near_count += 1
         else:
             heappush(self._far, (t, seq, event))
 
@@ -581,7 +616,6 @@ class Simulator:
             slot_i = ab & _B_MASK
             cur = self._buckets[slot_i]
             self._buckets[slot_i] = self._cur     # recycle the empty list
-            self._near_count -= len(cur)
         else:
             ab = far[0][0] >> _W_SHIFT
             cur = self._cur
@@ -601,12 +635,10 @@ class Simulator:
         holds, so entries move into the time-indexed structures.
         """
         imm = self._imm
-        for i in range(self._imm_head, len(imm)):
-            t, seq, event = imm[i]
+        while imm:
+            t, seq, event = imm.popleft()
             self._place(t, seq, event) if t > (self._cur_abs << _W_SHIFT) \
                 else heappush(self._cur, (t, seq, event))
-        del imm[:]
-        self._imm_head = 0
 
     # -- the event loop ----------------------------------------------------
 
@@ -638,6 +670,7 @@ class Simulator:
         """The no-sanitizer/no-observer drain loop."""
         pooling = self._pooling
         imm = self._imm
+        imm_pop = imm.popleft
         pool_to = self._pool_to
         pool_ev = self._pool_ev
         now = self.now
@@ -648,24 +681,15 @@ class Simulator:
             cur = self._cur
             if cur and cur[0][0] == now:
                 event = heappop(cur)[2]
+            elif imm:
+                event = imm_pop()[2]
             else:
-                h = self._imm_head
-                if h < len(imm):
-                    event = imm[h][2]
-                    imm[h] = None
-                    h += 1
-                    if h == len(imm):
-                        del imm[:]
-                        self._imm_head = 0
-                    else:
-                        self._imm_head = h
-                else:
-                    when = cur[0][0] if cur else self._advance()
-                    if until is not None and when > until:
-                        self.now = until
-                        return until
-                    self.now = now = when
-                    continue
+                when = cur[0][0] if cur else self._advance()
+                if until is not None and when > until:
+                    self.now = until
+                    return until
+                self.now = now = when
+                continue
             self._count -= 1
             callbacks = event.callbacks
             event.callbacks = None
@@ -681,20 +705,18 @@ class Simulator:
                 # triggered, so its callbacks and value are all it needs.
                 cls = event.__class__
                 if cls is Timeout:
-                    if len(pool_to) < _POOL_CAP:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        event._value = None
-                        pool_to.append(event)
+                    callbacks.clear()
+                    event.callbacks = callbacks
+                    event._value = None
+                    pool_to.append(event)
                 elif cls is Event:
-                    if len(pool_ev) < _POOL_CAP:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        event._value = None
-                        event._exc = None
-                        event._triggered = False
-                        event._defused = False
-                        pool_ev.append(event)
+                    callbacks.clear()
+                    event.callbacks = callbacks
+                    event._value = None
+                    event._exc = None
+                    event._triggered = False
+                    event._defused = False
+                    pool_ev.append(event)
         if until is not None and until > now:
             self.now = until
         return self.now
@@ -709,17 +731,8 @@ class Simulator:
             cur = self._cur
             if cur and cur[0][0] == self.now:
                 event = heappop(cur)[2]
-            elif self._imm_head < len(self._imm):
-                imm = self._imm
-                h = self._imm_head
-                event = imm[h][2]
-                imm[h] = None
-                h += 1
-                if h == len(imm):
-                    del imm[:]
-                    self._imm_head = 0
-                else:
-                    self._imm_head = h
+            elif self._imm:
+                event = self._imm.popleft()[2]
             else:
                 when = cur[0][0] if cur else self._advance()
                 if until is not None and when > until:
@@ -747,16 +760,15 @@ class Simulator:
                     pool = self._pool_ev
                 else:
                     continue
-                if len(pool) < _POOL_CAP:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._value = None
-                    event._observer = False
-                    if cls is Event:
-                        event._exc = None
-                        event._triggered = False
-                        event._defused = False
-                    pool.append(event)
+                callbacks.clear()
+                event.callbacks = callbacks
+                event._value = None
+                event._observer = False
+                if cls is Event:
+                    event._exc = None
+                    event._triggered = False
+                    event._defused = False
+                pool.append(event)
         if until is not None:
             self.now = max(self.now, until)
         if self._san is not None:

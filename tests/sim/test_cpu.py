@@ -233,3 +233,83 @@ def test_held_core_shortcut_keeps_timeline_and_accounting():
     log, accounting, busy, _now, _events = _held_core_run(Thread)
     assert accounting[1][3] > 0        # b really queued for the core
     assert busy == sum(c + p for c, p, _b, _q in accounting)
+
+
+def _compute_run(thread_cls, cores, plans):
+    """Threads run their plan of compute() charges on ``cores`` cores,
+    dropping the core after every third charge so the next one starts
+    off-core; logs the clock, the events posted and the thread's own
+    counters after each charge.  The shared ``busy_ns`` is compared at
+    the end only: the tuple path charges it when the timer is
+    scheduled, so another thread reading it mid-charge would differ."""
+    sim = Simulator()
+    cpus = CPUSet(sim, cores)
+    threads = [thread_cls(cpus, f"t{i}") for i in range(len(plans))]
+    log = []
+
+    def body(t, plan):
+        for i, ns in enumerate(plan):
+            yield from t.compute(ns)
+            log.append((t.name, i, sim.now, sim.events_scheduled,
+                        t.compute_ns, t.run_queue_ns))
+            if i % 3 == 2:
+                t.release_core()
+        t.release_core()
+
+    for t, plan in zip(threads, plans):
+        sim.process(body(t, plan))
+    sim.run()
+    counters = [(t.compute_ns, t.run_queue_ns, t.poll_ns, t.block_ns)
+                for t in threads]
+    return log, counters, cpus.busy_ns, sim.now, sim.events_scheduled
+
+
+@pytest.mark.parametrize("cores, plans", [
+    (1, [(0, 0, 0, 0)]),                              # ns of 0
+    (1, [(1, 1, 1, 1, 1)]),                           # ns of 1
+    (1, [(7, 7, 7, 7, 7, 7, 7)]),                     # ns of 7
+    (1, [(2.5, 0.5, 7.9, 1.0, 3)]),                   # float ns
+    (2, [(7,), (1,), (0,)]),                          # off-core only
+    (1, [(7, 1, 0, 7), (1, 7, 7, 0, 2.5)]),           # contended core
+    (2, [(7, 1, 0, 7, 3), (1, 7, 7), (0, 1, 7, 2.5), (7,) * 5]),
+], ids=["zero", "one", "seven", "float", "off-core", "contended-1",
+        "contended-2"])
+def test_compute_fast_path_matches_generator_path(cores, plans):
+    """The on-core tuple path of compute() posts the same events at the
+    same instants and ends with the same accounting as the generator
+    path of the _AlwaysAcquire oracle."""
+    fast = _compute_run(Thread, cores, plans)
+    assert fast == _compute_run(_AlwaysAcquire, cores, plans)
+    if len(plans) > cores:
+        assert any(c[1] > 0 for c in fast[1])   # really contended
+
+
+def test_compute_fast_path_taken_only_on_core_with_positive_ns():
+    sim = Simulator()
+    t = CPUSet(sim, 1).thread()
+    kinds = []
+
+    def body():
+        kinds.append(type(t.compute(3)))     # off-core: generator
+        yield from t.compute(0)
+        kinds.append(type(t.compute(0)))     # zero: generator
+        fast = t.compute(5)
+        kinds.append(type(fast))
+        yield from fast
+
+    sim.run_process(body())
+    assert [k.__name__ for k in kinds] == ["generator", "generator", "tuple"]
+    assert (sim.now, t.compute_ns) == (5, 5)
+
+
+def test_negative_compute_rejected_on_core():
+    sim = Simulator()
+    t = CPUSet(sim, 1).thread()
+
+    def body():
+        yield from t.compute(1)
+        yield from t.compute(-1)
+
+    with pytest.raises(ValueError):
+        sim.run_process(body())
+    assert t.compute_ns == 1

@@ -12,6 +12,10 @@
    time and advanced without its real wait completing.  The poke event
    of an interrupt whose target finished in the same tick also stayed
    un-recyclable garbage under pooling.
+3. ``Process._resume`` called itself once for every already-processed
+   event a process yielded, so about a thousand such yields in a row
+   (fewer under deeper ``yield from`` chains) ended ``run()`` with
+   ``RecursionError``.  The immediate resume is now a loop.
 
 Each test pins the fixed behaviour on the new engine; where the
 pre-overhaul behaviour differed, the companion assertion documents it
@@ -212,3 +216,45 @@ def test_interrupt_after_finish_same_tick_sanitizer_parity():
         return [(d.kind, d.message) for d in sim.sanitizer.findings()]
 
     assert scenario(engine) == scenario(engine_reference)
+
+
+# -- 3: yields of processed events resume in a loop, not by recursion ---------
+
+def _yield_processed(times, depth):
+    """One process yields one processed event ``times`` times from the
+    bottom of a ``depth``-deep ``yield from`` chain; returns the sum of
+    the values received, the instants before and after, and the events
+    posted by the run."""
+    sim = engine.Simulator()
+    done = sim.timeout(7, value=3)
+    sim.run()
+    assert done.processed
+
+    def leaf():
+        total = 0
+        for _ in range(times):
+            total += yield done
+        return total
+
+    def chain(level):
+        if level == 0:
+            return (yield from leaf())
+        return (yield from chain(level - 1))
+
+    before, start = sim.events_scheduled, sim.now
+    proc = sim.process(chain(depth))
+    sim.run()
+    return proc.value, start, sim.now, sim.events_scheduled - before
+
+
+def test_many_yields_of_a_processed_event_do_not_recurse():
+    total, start, end, posted = _yield_processed(5000, depth=0)
+    assert total == 5000 * 3
+    assert end == start == 7
+    # bootstrap + completion, exactly as for a single yield
+    assert posted == _yield_processed(1, depth=0)[3] == 2
+
+
+def test_processed_yields_under_a_deep_yield_from_chain():
+    total, start, end, posted = _yield_processed(5000, depth=200)
+    assert (total, end, posted) == (5000 * 3, start, 2)

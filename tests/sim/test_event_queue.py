@@ -164,6 +164,50 @@ def test_pool_capacity_is_bounded():
     assert len(sim._pool_ev) <= engine._POOL_CAP
 
 
+def test_pools_stay_bounded_after_a_burst_at_one_instant():
+    """2 x _POOL_CAP timers and 2 x _POOL_CAP plain events processed at
+    one instant fill both freelists to their bound and no further."""
+    sim = engine.Simulator()
+    for _ in range(2 * engine._POOL_CAP):
+        sim.timeout(5)
+    sim.run()
+    for _ in range(2 * engine._POOL_CAP):
+        sim.event().succeed()
+    sim.run()
+    assert len(sim._pool_to) == engine._POOL_CAP
+    assert 0 < len(sim._pool_ev) <= engine._POOL_CAP
+    assert sim.now == 5 and sim.pending_events == 0
+
+
+def test_parked_clock_flushes_fifo_in_time_seq_order():
+    """A run(until=...) in the past moves the current-instant FIFO into
+    the time-indexed structures; later drains still pop every entry in
+    exact (time, seq) order, as on the reference engine."""
+    def scenario(mod):
+        sim = mod.Simulator()
+        sim.timeout(5_000)
+        sim.run()
+        fired = []
+        tag = 0
+        for delay in (0, 3, 0, 2_000, 0, 300_000, 0, 1):
+            tag += 1
+            sim.timeout(delay, value=tag).add_callback(
+                lambda ev, s=sim: fired.append((s.now, ev._value)))
+            tag += 1
+            ev = sim.event()
+            ev.add_callback(lambda ev, s=sim: fired.append((s.now, ev._value)))
+            ev.succeed(tag)
+        parked = sim.run(until=4_000)
+        return parked, sim.run(), fired
+
+    parked, end, fired = scenario(engine)
+    assert parked == 4_000 and end == 305_000
+    assert fired == sorted(fired, key=lambda pair: pair[0])
+    assert [tag for t, tag in fired if t == 5_000] == [
+        1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16]
+    assert (parked, end, fired) == scenario(engine_reference)
+
+
 def test_far_horizon_spill_and_migration():
     """Timers beyond the 262,144 ns horizon migrate back into the ring
     and still fire in exact time order, interleaved with near posts."""
