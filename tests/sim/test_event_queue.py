@@ -157,14 +157,6 @@ def test_pooling_disabled_under_sanitize():
 
 
 def test_pool_capacity_is_bounded():
-    sim = engine.Simulator()
-    for _ in range(5000):
-        sim.event().succeed()
-    sim.run()
-    assert len(sim._pool_ev) <= engine._POOL_CAP
-
-
-def test_pools_stay_bounded_after_a_burst_at_one_instant():
     """2 x _POOL_CAP timers and 2 x _POOL_CAP plain events processed at
     one instant fill both freelists to their bound and no further."""
     sim = engine.Simulator()
@@ -175,7 +167,7 @@ def test_pools_stay_bounded_after_a_burst_at_one_instant():
         sim.event().succeed()
     sim.run()
     assert len(sim._pool_to) == engine._POOL_CAP
-    assert 0 < len(sim._pool_ev) <= engine._POOL_CAP
+    assert len(sim._pool_ev) == engine._POOL_CAP
     assert sim.now == 5 and sim.pending_events == 0
 
 
