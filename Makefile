@@ -80,8 +80,8 @@ monitor-demo:
 	$(PYTHON) examples/latency_tour.py --monitor
 
 # fails on any new simlint violation (baselined ones are tolerated);
-# both passes: per-module SIM001-SIM014 over src+tests+scripts, and
-# the whole-program SIM015-SIM018 pass over the package
+# every rule, SIM000-SIM019, over src+tests+scripts, with the graph
+# rules (SIM015-SIM019) over the package
 simlint:
 	$(PYTHON) scripts/simlint.py src/repro tests scripts
 

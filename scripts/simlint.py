@@ -9,11 +9,11 @@ Usage:
     python scripts/simlint.py --graph dot               # layer DAG
     python scripts/simlint.py --list-rules
 
-Two passes run by default: the per-module AST pass (SIM001–SIM014)
-over every path given, and the whole-program pass (SIM015–SIM018 —
-import/call graph, interprocedural entropy & purity inference,
-architecture DAG) whenever one of the paths covers the package root
-(``src/repro``).  ``--no-program`` skips the second pass.
+Every file is parsed and walked once; every rule, SIM000-SIM019, is a
+query over the resulting program model.  The graph rules (SIM015-SIM019
+— import/call graph, interprocedural entropy & purity inference,
+architecture DAG) run whenever one of the paths covers the package
+root (``src/repro``); linting a single file leaves them out.
 
 Exit status: 0 when no un-baselined violations remain, 1 otherwise.
 The default baseline file is ``simlint-baseline.json`` next to this
@@ -43,28 +43,14 @@ from repro.analysis import (          # noqa: E402
     export_dot,
     export_json,
     fix_file,
+    iter_python_files,
     iter_rules_help,
     lint_paths,
-    lint_program,
     load_baseline,
     render_human,
     render_json,
     write_baseline,
 )
-
-
-def _covers_package(paths, package_root: Path) -> bool:
-    """True when some linted path contains the whole package root.
-
-    Linting a single file keeps the whole-program pass off — its
-    findings span the package, not the file on the command line.
-    """
-    root = package_root.resolve()
-    for p in paths:
-        candidate = Path(p).resolve()
-        if candidate == root or candidate in root.parents:
-            return True
-    return False
 
 
 def main(argv=None) -> int:
@@ -79,13 +65,9 @@ def main(argv=None) -> int:
     ap.add_argument("--rules", default="",
                     help="comma-separated rule ids to enable "
                          "(default: all)")
-    ap.add_argument("--program", action=argparse.BooleanOptionalAction,
-                    default=True,
-                    help="run the whole-program pass (SIM015-SIM018) "
-                         "when a path covers the package root "
-                         "(default: on)")
     ap.add_argument("--package-root", default=None,
-                    help="package the whole-program pass analyses "
+                    help="package the graph rules (SIM015-SIM019) "
+                         "analyse when a path covers it "
                          "(default: src/repro at the repo root)")
     ap.add_argument("--graph", choices=("dot", "json"), default=None,
                     help="print the import graph (dot: layer DAG for "
@@ -130,7 +112,6 @@ def main(argv=None) -> int:
 
     if args.fix:
         total = 0
-        from repro.analysis.linter import iter_python_files
         for f in iter_python_files(args.paths):
             n = fix_file(str(f))
             if n:
@@ -139,14 +120,8 @@ def main(argv=None) -> int:
         print(f"simlint --fix: {total} rewrite(s) applied")
         # fall through: re-lint so the exit code reflects what remains
 
-    result = lint_paths(args.paths, enabled=enabled, root=str(REPO_ROOT))
-
-    if args.program and _covers_package(args.paths, package_root):
-        result.violations.extend(
-            lint_program(package_root, enabled=enabled,
-                         repo_root=REPO_ROOT))
-        result.violations.sort(
-            key=lambda v: (v.path, v.line, v.rule.id, v.message))
+    result = lint_paths(args.paths, enabled=enabled, root=str(REPO_ROOT),
+                        package_root=package_root)
 
     baseline_path = args.baseline or str(REPO_ROOT / "simlint-baseline.json")
     if args.write_baseline:

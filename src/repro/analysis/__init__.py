@@ -1,18 +1,19 @@
 """Static analysis for simulation correctness (simlint).
 
-``python scripts/simlint.py src/repro`` is the CLI front end; this
-package is the library, in two passes:
+``python scripts/simlint.py src/repro tests scripts`` is the CLI front
+end; this package is the library, one pass over one program model:
 
-* a **per-module AST pass** (:mod:`repro.analysis.linter`) with the
-  SIM001–SIM014 rules that catch the ways Python code breaks the
-  engine's same-seed-same-bytes guarantee (wall-clock reads,
+* :mod:`repro.analysis.linter` parses each file **once** into a
+  ``ModuleInfo`` and walks it **once**, recording its symbol table, the
+  per-function facts and the syntactic findings (wall-clock reads,
   hash-order iteration into the event queue, float delays on the
   integer nanosecond clock, event-protocol misuse);
-* a **whole-program pass** (:mod:`repro.analysis.program`) that parses
-  the package once, builds the import graph and a conservative call
-  graph with interprocedurally propagated fact summaries, and checks
-  the SIM015–SIM018 rules against the declarative architecture
-  manifest in :mod:`repro.analysis.architecture`.
+* :mod:`repro.analysis.program` links the modules into the import
+  graph and a conservative call graph, propagates the facts to a
+  fixpoint, and answers every rule, SIM000–SIM019, as a query over
+  them.  The graph rules (SIM015–SIM019) run when the linted paths
+  cover the package root, checked against the declarative
+  architecture manifest in :mod:`repro.analysis.architecture`.
 
 See ``docs/static_analysis.md`` for the rule catalogue with bad/good
 examples, and :mod:`repro.sim.sanitizer` for the runtime counterpart.
@@ -25,14 +26,11 @@ from .linter import (
     apply_baseline,
     is_entropy_call,
     iter_python_files,
-    lint_paths,
-    lint_source,
     load_baseline,
     render_human,
     render_json,
     write_baseline,
 )
-from .fixes import FIXABLE_RULES, fix_file, fix_source
 from .architecture import (
     FriendEdge,
     Layer,
@@ -46,8 +44,11 @@ from .program import (
     build_program,
     export_dot,
     export_json,
+    lint_paths,
     lint_program,
+    lint_source,
 )
+from .fixes import FIXABLE_RULES, fix_file, fix_source
 
 __all__ = [
     "ERROR",

@@ -1,10 +1,11 @@
 """The declarative architecture manifest: the allowed layer DAG.
 
-The whole-program pass (:mod:`repro.analysis.program`) checks every
+The program model (:mod:`repro.analysis.program`) checks every
 intra-package import edge against this manifest (rule SIM015), seeds
-hot-path reachability from :data:`HOT_ENTRY_POINTS` (SIM018), and
-holds the modules named in :data:`ORACLE_MODULES` to inferred purity
-(SIM017).
+hot-path reachability from :data:`HOT_ENTRY_POINTS` (SIM018), holds
+the classes of :data:`HOT_PATH_MODULES` to ``__slots__`` (SIM008), and
+holds the modules named in :data:`ORACLE_MODULES` and
+:data:`ATTRIBUTION_MODULES` to purity (SIM014, SIM017, SIM019).
 
 The layering mirrors the system the paper describes — userlib above
 syscalls above blockio above NVMe, with the device model below — and
@@ -44,6 +45,7 @@ __all__ = [
     "LAYERS",
     "FRIEND_EDGES",
     "HOT_ENTRY_POINTS",
+    "HOT_PATH_MODULES",
     "ORACLE_MODULES",
     "ATTRIBUTION_MODULES",
     "default_manifest",
@@ -92,6 +94,7 @@ class Manifest:
     assignments: Dict[str, str]          # module prefix -> layer name
     friends: Tuple[FriendEdge, ...] = ()
     hot_entries: Tuple[str, ...] = ()    # "pkg.mod:Class.method" qualnames
+    hot_modules: Tuple[str, ...] = ()    # modules whose classes need slots
     oracle_modules: Tuple[str, ...] = ()  # module names held to purity
     attribution_modules: Tuple[str, ...] = ()  # observers held to purity
 
@@ -121,7 +124,7 @@ class Manifest:
         layer = self.layers.get(src_layer)
         if layer is not None and dst_layer in layer.allowed:
             return True
-        return any(f.matches(src, dst) for f in self.friends)
+        return self.friend_for(src, dst) is not None
 
     def friend_for(self, src: str, dst: str) -> Optional[FriendEdge]:
         for f in self.friends:
@@ -233,7 +236,15 @@ HOT_ENTRY_POINTS: Tuple[str, ...] = (
     "repro.sim.engine:Event.fail",
 )
 
-# Modules whose functions must be pure observers (SIM017).
+# Modules whose classes are allocated on the per-I/O hot path: every
+# event, NVMe command and span class there needs __slots__ (SIM008).
+HOT_PATH_MODULES: Tuple[str, ...] = (
+    "repro.sim.engine",
+    "repro.nvme.spec",
+    "repro.sim.trace",
+)
+
+# Modules whose functions must be pure observers (SIM014, SIM017).
 ORACLE_MODULES: Tuple[str, ...] = ("repro.chaos.oracles",)
 
 # Latency-attribution observers held to the same inferred purity
@@ -272,6 +283,7 @@ def default_manifest() -> Manifest:
         assignments=dict(_ASSIGNMENTS),
         friends=FRIEND_EDGES,
         hot_entries=HOT_ENTRY_POINTS,
+        hot_modules=HOT_PATH_MODULES,
         oracle_modules=ORACLE_MODULES,
         attribution_modules=ATTRIBUTION_MODULES,
     )

@@ -19,7 +19,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
-from .linter import Violation, lint_source
+from .linter import Violation
+from .program import lint_source
 
 __all__ = ["fix_source", "fix_file", "FIXABLE_RULES"]
 

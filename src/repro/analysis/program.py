@@ -1,18 +1,23 @@
-"""Whole-program analysis: import graph, call graph, fact inference.
+"""The program model: link, propagate, query — and the simlint entry point.
 
-The per-module linter (:mod:`repro.analysis.linter`) sees one file at
-a time, which is exactly the blind spot a layered simulator cannot
-afford: ``time.time()`` hidden one helper away, an oracle calling a
-mutating method through a module boundary, ``nvme/`` importing
-``apps/``.  This module parses the whole package **once** and builds:
+:mod:`repro.analysis.linter` parses and walks each file once into a
+:class:`~repro.analysis.linter.ModuleInfo`.  This module links those
+modules into a :class:`Program` and answers every rule as a query
+over the result:
 
 1. a **module import graph** (checked against the architecture DAG in
    :mod:`repro.analysis.architecture` — rule SIM015, including cycle
    detection);
-2. a **conservative call graph** with per-function fact summaries —
-   reads host entropy, mutates non-local state, allocates unslotted
-   classes — **fixpoint-propagated** interprocedurally (rules SIM016,
-   SIM017, SIM018).
+2. a **conservative call graph** with per-function facts — entropy
+   seeds, mutation sites, allocations — **fixpoint-propagated**
+   interprocedurally (rules SIM016, SIM017, SIM018, SIM019);
+3. the per-module queries that need linked facts: missing slots on
+   hot-path classes (SIM008) and direct writes in pure-observer
+   modules (SIM014, SIM019).
+
+A linted file outside the package is linked alone, so its per-module
+queries still see its own classes; the graph rules run only over the
+package, and only when the linted paths cover its root.
 
 Call edges come in two kinds.  *Direct* edges are precisely resolved:
 module-level calls, imported names (through ``__init__`` re-export
@@ -21,8 +26,9 @@ chains), ``self.method()`` through the class and its repo bases, and
 method name against every repo class that defines it — deliberately
 over-approximate.  Entropy taint (SIM016) and hot-path reachability
 (SIM018) follow direct edges plus dynamic edges with a *unique*
-candidate; purity facts (SIM017) follow every edge, because an oracle
-must not call anything that *might* mutate the run it is judging.
+candidate; purity facts (SIM017/SIM019) follow every edge, because an
+observer must not call anything that *might* mutate the run it is
+judging.
 
 Known conservatisms (documented in docs/static_analysis.md): first-
 class function values and callbacks are not followed; a local name
@@ -37,17 +43,21 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .architecture import Layer, Manifest, default_manifest
 from .linter import (
+    ClassInfo,
+    FunctionInfo,
+    LintResult,
+    ModuleInfo,
     Violation,
-    _SKIP_FILE_RE,
-    _pragma_map,
-    _suppressed,
-    is_entropy_call,
-    rule_by_id,
+    iter_python_files,
+    parse_module,
+    dotted_name,
+    resolve_relative,
+    suppressed,
 )
 from .rules import RULES
 
@@ -56,18 +66,35 @@ __all__ = [
     "ProgramResult",
     "build_program",
     "analyze_program",
+    "lint_source",
+    "lint_paths",
     "lint_program",
     "export_dot",
     "export_json",
 ]
 
 # Builtin container methods that mutate their receiver: Python
-# semantics, not repo guesswork (cf. the SIM014 name list this pass
-# replaces for repo helpers).
+# semantics, not repo guesswork.
 BUILTIN_MUTATORS = {
     "append", "extend", "insert", "remove", "pop", "clear", "sort",
     "reverse", "update", "setdefault", "add", "discard", "popitem",
     "appendleft", "popleft",
+}
+
+# SIM014's name list: repo methods an oracle may not call on simulation
+# state even when no repo definition is in view (a one-file lint).
+# With the package linked, SIM017 infers the same from the callee.
+ORACLE_MUTATORS = {
+    # event/engine/process mutators
+    "succeed", "fail", "interrupt", "schedule", "run", "run_process",
+    "process", "spawn", "timeout",
+    # device/queue/kernel mutators
+    "submit", "abort", "reap", "post_completion", "pop_completion",
+    "write_blocks", "zero_blocks", "flush",
+    # telemetry / fault / fs mutators
+    "record", "observe", "inc", "set", "log", "commit",
+    "drop_running", "record_crash", "sample", "arm", "disarm",
+    "recover_after_crash", "put", "acquire", "release",
 }
 
 # Method names shared with builtin dict/list/str *read* APIs: never
@@ -88,6 +115,9 @@ FRESH_BUILTINS = {
     "Counter", "defaultdict", "OrderedDict", "deque", "bytearray",
 }
 
+# SIM008: base classes whose subclasses are allocated per event.
+HOT_BASE_CLASSES = {"Event", "Timeout", "Process", "Condition"}
+
 # Base-class names that exempt a class from the slots requirement.
 SLOTS_EXEMPT_BASES = {
     "Enum", "IntEnum", "IntFlag", "Flag", "StrEnum",
@@ -95,6 +125,23 @@ SLOTS_EXEMPT_BASES = {
     "TypeError", "RuntimeError", "OSError", "AttributeError",
     "NamedTuple", "Protocol", "ABC", "Generic",
 }
+
+# Rules that need the linked package (run when the paths cover it).
+GRAPH_RULES = frozenset(r.id for r in RULES if "whole-program" in r.tags)
+
+# Pure-observer scopes: (manifest field, rule for a direct write or a
+# name-list call, rule for a call inferred impure, noun, remedy).  One
+# query serves both.  Attribution code keeps its window lists in local
+# aliases of scratch (``window = out.setdefault(...)``), which root as
+# non-local, so only its calls are judged.
+_PURITY_SCOPES = (
+    ("oracle_modules", "SIM014", "SIM017", "oracle",
+     "oracles must be pure observers — read attributes and return "
+     "Violations, or move the mutation into the executor"),
+    ("attribution_modules", None, "SIM019", "attribution observer",
+     "latency attribution must never mutate simulation state — fold "
+     "recorded spans into fresh local structures and return them"),
+)
 
 _MAX_DYNAMIC_CANDIDATES = 25
 _MAX_REEXPORT_DEPTH = 8
@@ -131,53 +178,14 @@ class AllocSite:
 @dataclass
 class MutationSite:
     line: int
+    col: int
+    kind: str                      # "self" | "args" | "global"
     desc: str                      # human description of the mutation
 
 
 @dataclass
-class FunctionInfo:
-    qualname: str                  # "pkg.mod:Class.m" or "pkg.mod:f"
-    module: str
-    name: str
-    cls: Optional[str]
-    lineno: int
-    # seed facts (intraprocedural)
-    entropy_sites: List[Tuple[int, str]] = field(default_factory=list)
-    mutations: Dict[str, MutationSite] = field(default_factory=dict)
-    allocations: List[AllocSite] = field(default_factory=list)
-    calls: List[CallSite] = field(default_factory=list)
-
-
-@dataclass
-class ClassInfo:
-    name: str
-    module: str
-    lineno: int
-    bases: List[str] = field(default_factory=list)   # resolved or raw
-    has_slots: bool = False
-    methods: Dict[str, str] = field(default_factory=dict)  # name -> qual
-
-    @property
-    def dotted(self) -> str:
-        return f"{self.module}.{self.name}"
-
-
-@dataclass
-class ModuleInfo:
-    name: str                      # "repro.sim.engine"
-    path: str                      # repo-relative posix path
-    is_package: bool
-    tree: Optional[ast.Module]
-    lines: List[str]
-    aliases: Dict[str, str] = field(default_factory=dict)
-    imports: Dict[str, int] = field(default_factory=dict)  # mod -> line
-    functions: Dict[str, str] = field(default_factory=dict)  # f -> qual
-    classes: Dict[str, ClassInfo] = field(default_factory=dict)
-
-
-@dataclass
 class Program:
-    """The parsed package: modules, classes, functions, edges."""
+    """The linked package: modules, classes, functions, edges."""
 
     package: str
     modules: Dict[str, ModuleInfo] = field(default_factory=dict)
@@ -282,7 +290,7 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Parsing & symbol table construction
+# Linking
 # ---------------------------------------------------------------------------
 
 def _module_name(file: Path, root: Path, package: str) -> Tuple[str, bool]:
@@ -294,165 +302,63 @@ def _module_name(file: Path, root: Path, package: str) -> Tuple[str, bool]:
     return ".".join([package] + parts), is_package
 
 
-def _resolve_relative(module: ModuleInfo, node: ast.ImportFrom) -> str:
-    """Absolute module path of a (possibly relative) ``from`` import."""
-    if node.level == 0:
-        return node.module or ""
-    parts = module.name.split(".")
-    if not module.is_package:
-        parts = parts[:-1]
-    if node.level > 1:
-        parts = parts[: len(parts) - (node.level - 1)]
-    if node.module:
-        parts = parts + node.module.split(".")
-    return ".".join(parts)
+def _loose_module_name(path: str, package: str) -> Tuple[str, bool]:
+    """Module name for a file linted outside the package root.
 
-
-def _dataclass_has_slots(node: ast.ClassDef) -> Tuple[bool, bool]:
-    """(is_dataclass, slots=True present)."""
-    is_dc = has_slots = False
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = (target.id if isinstance(target, ast.Name)
-                else getattr(target, "attr", ""))
-        if name == "dataclass":
-            is_dc = True
-            if isinstance(dec, ast.Call):
-                for kw in dec.keywords:
-                    if kw.arg == "slots" and \
-                            isinstance(kw.value, ast.Constant) and \
-                            kw.value.value is True:
-                        has_slots = True
-    return is_dc, has_slots
-
-
-def _class_info(node: ast.ClassDef, module: ModuleInfo) -> ClassInfo:
-    bases: List[str] = []
-    for b in node.bases:
-        parts: List[str] = []
-        cur: ast.AST = b
-        while isinstance(cur, ast.Attribute):
-            parts.append(cur.attr)
-            cur = cur.value
-        if isinstance(cur, ast.Name):
-            parts.append(cur.id)
-            bases.append(".".join(reversed(parts)))
-        elif isinstance(cur, ast.Subscript):   # Generic[T] etc.
-            continue
-    is_dc, dc_slots = _dataclass_has_slots(node)
-    slots_body = any(
-        isinstance(s, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__slots__"
-            for t in s.targets)
-        for s in node.body)
-    info = ClassInfo(
-        name=node.name, module=module.name, lineno=node.lineno,
-        bases=bases,
-        has_slots=slots_body or (is_dc and dc_slots))
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info.methods[stmt.name] = \
-                f"{module.name}:{node.name}.{stmt.name}"
-    return info
-
-
-def build_program(package_root: Path,
-                  repo_root: Optional[Path] = None,
-                  package: Optional[str] = None) -> Program:
-    """Parse every module under ``package_root`` into a :class:`Program`.
-
-    ``repo_root`` controls the repo-relative paths recorded on
-    violations (defaults to the parent of ``package_root``) so that
-    fingerprints line up with ``lint_paths`` output.
+    ``src/repro/chaos/oracles.py`` is ``repro.chaos.oracles``, so the
+    manifest's scopes apply to a file linted on its own.
     """
-    package_root = Path(package_root).resolve()
-    if repo_root is None:
-        repo_root = package_root.parent
-    else:
-        repo_root = Path(repo_root).resolve()
-    pkg = package or package_root.name
-    program = Program(package=pkg)
+    parts = [p for p in PurePosixPath(path).with_suffix("").parts
+             if p not in ("/", "")]
+    is_package = bool(parts) and parts[-1] == "__init__"
+    if is_package:
+        parts = parts[:-1]
+    if package in parts:
+        parts = parts[len(parts) - 1 - parts[::-1].index(package):]
+    return ".".join(parts), is_package
 
-    files = [f for f in sorted(package_root.rglob("*.py"))
-             if "__pycache__" not in f.parts]
-    fn_nodes: List[Tuple[ModuleInfo, Optional[ClassInfo], ast.AST]] = []
 
-    for file in files:
-        name, is_package = _module_name(file, package_root, pkg)
-        source = file.read_text(encoding="utf-8")
-        lines = source.splitlines()
-        try:
-            rel_path = file.relative_to(repo_root).as_posix()
-        except ValueError:
-            rel_path = file.as_posix()
-        try:
-            tree = ast.parse(source, filename=str(file))
-        except SyntaxError:
-            program.modules[name] = ModuleInfo(
-                name=name, path=rel_path, is_package=is_package,
-                tree=None, lines=lines)
-            program.parse_failures.append(name)
-            continue
-        program.modules[name] = ModuleInfo(
-            name=name, path=rel_path, is_package=is_package,
-            tree=tree, lines=lines)
-
-    # Pass 1: aliases, import edges, symbol tables.
-    for mod in program.modules.values():
+def _link(program: Program, modules: Iterable[ModuleInfo]) -> Program:
+    """Import edges, class and method tables, then per-function facts."""
+    for mod in modules:
+        program.modules[mod.name] = mod
         if mod.tree is None:
-            continue
-        for node in ast.walk(mod.tree):
+            program.parse_failures.append(mod.name)
+    pkg = program.package
+    for mod in program.modules.values():
+        for node in mod.import_stmts:
             if isinstance(node, ast.Import):
                 for a in node.names:
-                    mod.aliases[a.asname or a.name.split(".")[0]] = a.name
                     if a.name.split(".")[0] == pkg:
                         # ancestors are imported implicitly by the
                         # runtime; only the named module is an edge
                         mod.imports.setdefault(a.name, node.lineno)
-            elif isinstance(node, ast.ImportFrom):
-                base = _resolve_relative(mod, node)
-                if not base:
-                    continue
-                uses_facade = False
-                for a in node.names:
-                    target = f"{base}.{a.name}"
-                    mod.aliases[a.asname or a.name] = target
-                    if target in program.modules:
-                        # ``from pkg import submodule``: the edge is
-                        # to the submodule, not the package facade
-                        mod.imports.setdefault(target, node.lineno)
-                    else:
-                        uses_facade = True
-                if uses_facade and base.split(".")[0] == pkg:
-                    mod.imports.setdefault(base, node.lineno)
-        for stmt in mod.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                mod.functions[stmt.name] = f"{mod.name}:{stmt.name}"
-                fn_nodes.append((mod, None, stmt))
-            elif isinstance(stmt, ast.ClassDef):
-                info = _class_info(stmt, mod)
-                mod.classes[stmt.name] = info
-                program.classes[info.dotted] = info
-                for body_stmt in stmt.body:
-                    if isinstance(body_stmt,
-                                  (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        fn_nodes.append((mod, info, body_stmt))
-
+                continue
+            base = resolve_relative(mod, node)
+            if not base:
+                continue
+            uses_facade = False
+            for a in node.names:
+                target = f"{base}.{a.name}"
+                if target in program.modules:
+                    # ``from pkg import submodule``: the edge is to the
+                    # submodule, not the package facade
+                    mod.imports.setdefault(target, node.lineno)
+                else:
+                    uses_facade = True
+            if uses_facade and base.split(".")[0] == pkg:
+                mod.imports.setdefault(base, node.lineno)
+        for info in mod.classes.values():
+            program.classes[info.dotted] = info
     for info in program.classes.values():
         for meth_name, qual in info.methods.items():
             program.methods_by_name.setdefault(meth_name, []).append(qual)
-
-    # Pass 2: per-function fact extraction.
-    for mod, cls, node in fn_nodes:
-        fn = _extract_function(program, mod, cls, node)
-        program.functions[fn.qualname] = fn
-
+    for mod in program.modules.values():
+        for fn in mod.units:
+            _FunctionLinker(program, mod, fn).run()
+            program.functions[fn.qualname] = fn
     return program
 
-
-# ---------------------------------------------------------------------------
-# Per-function fact extraction
-# ---------------------------------------------------------------------------
 
 def _param_names(node) -> Set[str]:
     args = node.args
@@ -466,33 +372,28 @@ def _param_names(node) -> Set[str]:
     return names
 
 
-def _resolve_dotted(mod: ModuleInfo, node: ast.AST) -> Optional[str]:
-    """Dotted path through the module's import aliases (cf. linter)."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(mod.aliases.get(node.id, node.id))
-    return ".".join(reversed(parts))
-
-
-class _FactVisitor:
-    """Single walk over one function body collecting seed facts."""
+class _FunctionLinker:
+    """Turns one unit's walk facts into call edges and mutation sites."""
 
     def __init__(self, program: Program, mod: ModuleInfo,
-                 cls: Optional[ClassInfo], node, fn: FunctionInfo):
+                 fn: FunctionInfo):
         self.program = program
         self.mod = mod
-        self.cls = cls
-        self.node = node
+        self.cls = fn.cls
         self.fn = fn
-        self.params = _param_names(node)
+        self.params = _param_names(fn.node)
         self.is_init = fn.name in ("__init__", "__post_init__", "__new__")
         self.scratch: Set[str] = set()
-        self.globals_declared: Set[str] = set()
-        self._collect_locals()
+        for name, value in fn.fresh:
+            if self._is_fresh_value(value):
+                self.scratch.add(name)
+
+    def run(self) -> None:
+        for node in self.fn.events:
+            if isinstance(node, ast.Call):
+                self._visit_call(node)
+            else:
+                self._visit_store(node)
 
     # -- local classification ----------------------------------------------
 
@@ -511,22 +412,6 @@ class _FactVisitor:
                 return True     # a constructed object is fresh state
         return False
 
-    def _collect_locals(self) -> None:
-        for n in ast.walk(self.node):
-            if isinstance(n, ast.Global) or isinstance(n, ast.Nonlocal):
-                self.globals_declared.update(n.names)
-            targets: List[ast.AST] = []
-            value: Optional[ast.AST] = None
-            if isinstance(n, ast.Assign):
-                targets, value = list(n.targets), n.value
-            elif isinstance(n, ast.AnnAssign) and n.value is not None:
-                targets, value = [n.target], n.value
-            if value is None or not self._is_fresh_value(value):
-                continue
-            for t in targets:
-                if isinstance(t, ast.Name):
-                    self.scratch.add(t.id)
-
     def _root_of(self, node: ast.AST) -> str:
         """SELF/SCRATCH/PARAM/OTHER/FRESH for an expression's base."""
         while isinstance(node, (ast.Attribute, ast.Subscript,
@@ -535,44 +420,37 @@ class _FactVisitor:
         if isinstance(node, ast.Name):
             if node.id in ("self", "cls"):
                 return SELF
-            if node.id in self.globals_declared:
+            if node.id in self.fn.globals:
                 return OTHER
             if node.id in self.scratch:
                 return SCRATCH
             if node.id in self.params:
                 return PARAM
             return OTHER
-        if isinstance(node, ast.Constant):
-            return FRESH
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.Tuple,
-                             ast.ListComp, ast.SetComp, ast.DictComp,
-                             ast.GeneratorExp, ast.JoinedStr)):
-            return FRESH
-        if isinstance(node, ast.Call) and self._is_fresh_value(node):
-            return FRESH
-        return OTHER
+        return FRESH if self._is_fresh_value(node) else OTHER
 
     # -- mutation recording --------------------------------------------------
 
-    def _record_mutation(self, root: str, line: int, desc: str) -> None:
+    def _mutation(self, root: str, node: ast.AST,
+                  desc: str) -> Optional[MutationSite]:
         if root in (SCRATCH, FRESH):
-            return
+            return None
         if root == SELF:
             if self.is_init:
-                return             # constructing a fresh object
+                return None        # constructing a fresh object
             kind = "self"
         elif root == PARAM:
             kind = "args"
         else:
             kind = "global"
-        self.fn.mutations.setdefault(
-            kind, MutationSite(line=line, desc=desc))
+        return MutationSite(line=getattr(node, "lineno", 1),
+                            col=getattr(node, "col_offset", 0),
+                            kind=kind, desc=desc)
 
-    def _target_desc(self, node: ast.AST) -> str:
-        try:
-            return ast.unparse(node)
-        except Exception:
-            return "<expr>"
+    def _record_mutation(self, root: str, node: ast.AST, desc: str) -> None:
+        site = self._mutation(root, node, desc)
+        if site is not None:
+            self.fn.writes.append(site)
 
     # -- call resolution -----------------------------------------------------
 
@@ -606,7 +484,7 @@ class _FactVisitor:
                         if meth is not None:
                             return ("func", meth)
                 return None
-            full = _resolve_dotted(self.mod, func)
+            full = dotted_name(func, self.mod.aliases)
             if full is not None:
                 resolved = self.program.resolve_symbol(full)
                 if resolved is not None and resolved[0] != "module":
@@ -622,28 +500,27 @@ class _FactVisitor:
         return None
 
     def _arg_roots(self, call: ast.Call) -> Tuple[str, ...]:
-        roots = []
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            roots.append(self._root_of(arg))
-        return tuple(roots)
+        return tuple(self._root_of(arg) for arg in
+                     list(call.args) + [kw.value for kw in call.keywords])
 
     def _visit_call(self, call: ast.Call) -> None:
-        mod = self.mod
         fn = self.fn
         line = call.lineno
-
-        # entropy seed (pragma-sanctioned sites are skipped by the
-        # analyzer later, which owns the pragma maps)
-        full = _resolve_dotted(mod, call.func)
-        if full is not None and is_entropy_call(full):
-            fn.entropy_sites.append((line, full))
+        func = call.func
+        if isinstance(func, ast.Attribute) and \
+                func.attr in ORACLE_MUTATORS:
+            site = self._mutation(
+                self._root_of(func.value), call,
+                f"calls .{func.attr}() on {ast.unparse(func.value)}")
+            if site is not None and site.kind != "self":
+                fn.named_calls.append(site)
 
         resolved = self._resolve_call_target(call)
         if resolved is not None:
             kind, target = resolved
             receiver = None
-            if isinstance(call.func, ast.Attribute):
-                receiver = self._root_of(call.func.value)
+            if isinstance(func, ast.Attribute):
+                receiver = self._root_of(func.value)
             if kind == "class":
                 fn.allocations.append(AllocSite(line=line, cls=target))
                 cls_info = self.program.classes.get(target)
@@ -662,16 +539,15 @@ class _FactVisitor:
                     arg_roots=self._arg_roots(call)))
             return
 
-        if not isinstance(call.func, ast.Attribute):
+        if not isinstance(func, ast.Attribute):
             return
-        attr = call.func.attr
-        receiver = self._root_of(call.func.value)
+        attr = func.attr
+        receiver = self._root_of(func.value)
         if attr in BUILTIN_MUTATORS:
             # Python container semantics: assume receiver mutation.
             self._record_mutation(
-                receiver, line,
-                f"calls .{attr}() on "
-                f"{self._target_desc(call.func.value)}")
+                receiver, call,
+                f"calls .{attr}() on {ast.unparse(func.value)}")
             return
         if attr in DYNAMIC_NAME_SKIP:
             return
@@ -685,50 +561,19 @@ class _FactVisitor:
                 receiver_root=receiver,
                 arg_roots=self._arg_roots(call)))
 
-    # -- the walk ------------------------------------------------------------
-
-    def run(self) -> None:
-        for n in ast.walk(self.node):
-            if isinstance(n, ast.Call):
-                self._visit_call(n)
-            elif isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (n.targets if isinstance(n, ast.Assign)
-                           else [n.target])
-                for t in targets:
-                    self._visit_store(t)
-            elif isinstance(n, ast.Delete):
-                for t in n.targets:
-                    self._visit_store(t)
-
     def _visit_store(self, target: ast.AST) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._visit_store(elt)
-            return
-        if isinstance(target, ast.Attribute):
-            self._record_mutation(
-                self._root_of(target), target.lineno,
-                f"assigns {self._target_desc(target)}")
+        elif isinstance(target, ast.Attribute):
+            self._record_mutation(self._root_of(target), target,
+                                  f"assigns {ast.unparse(target)}")
         elif isinstance(target, ast.Subscript):
-            self._record_mutation(
-                self._root_of(target), target.lineno,
-                f"writes {self._target_desc(target)}")
-        elif isinstance(target, ast.Name):
-            if target.id in self.globals_declared:
-                self._record_mutation(
-                    OTHER, getattr(target, "lineno", 1),
-                    f"rebinds global {target.id}")
-
-
-def _extract_function(program: Program, mod: ModuleInfo,
-                      cls: Optional[ClassInfo], node) -> FunctionInfo:
-    qual = (f"{mod.name}:{cls.name}.{node.name}" if cls is not None
-            else f"{mod.name}:{node.name}")
-    fn = FunctionInfo(
-        qualname=qual, module=mod.name, name=node.name,
-        cls=cls.name if cls is not None else None, lineno=node.lineno)
-    _FactVisitor(program, mod, cls, node, fn).run()
-    return fn
+            self._record_mutation(self._root_of(target), target,
+                                  f"writes {ast.unparse(target)}")
+        elif isinstance(target, ast.Name) and target.id in self.fn.globals:
+            self._record_mutation(OTHER, target,
+                                  f"rebinds global {target.id}")
 
 
 # ---------------------------------------------------------------------------
@@ -742,6 +587,7 @@ class _Witness:
     line: int
     desc: str
     via: Optional[str] = None     # callee qualname the fact came through
+    via_kind: str = ""            # the callee's fact it came through
 
 
 @dataclass
@@ -749,86 +595,64 @@ class ProgramResult:
     program: Program
     manifest: Manifest
     violations: List[Violation] = field(default_factory=list)
-    entropy: Dict[str, _Witness] = field(default_factory=dict)
-    impure: Dict[str, Dict[str, _Witness]] = field(default_factory=dict)
+    # qualname -> fact kind ("entropy", "self", "args", "global") -> why
+    facts: Dict[str, Dict[str, _Witness]] = field(default_factory=dict)
     hot: Dict[str, Optional[Tuple[str, int]]] = field(default_factory=dict)
 
+    def report(self, rule_id: str, module: str, line: int, message: str,
+               col: int = 0) -> None:
+        self.violations.append(self.program.modules[module].violation(
+            rule_id, line, col, message))
 
-def _propagate_entropy(result: ProgramResult) -> None:
-    program = result.program
-    entropy = result.entropy
+
+# how a callee's mutation lands on its caller, by the root of the
+# receiver (a "self" fact) or of an argument (an "args" fact)
+_LANDS = {SELF: "self", PARAM: "args", OTHER: "global"}
+
+
+def _propagate(result: ProgramResult) -> None:
+    """One fixpoint over every fact kind, seeded from the walk's entropy
+    sites and the linked writes.  Entropy crosses precise edges only
+    (direct or a unique dynamic candidate); mutations cross every edge,
+    landing on the caller by the root of the receiver or argument."""
+    facts = result.facts
     callers: Dict[str, List[Tuple[str, CallSite]]] = {}
-    for fn in program.functions.values():
-        for site in fn.calls:
-            if site.kind == "direct" or site.unique:
-                callers.setdefault(site.callee, []).append(
-                    (fn.qualname, site))
     work: List[str] = []
-    for fn in program.functions.values():
+    for fn in result.program.functions.values():
+        for site in fn.calls:
+            callers.setdefault(site.callee, []).append((fn.qualname, site))
+        seeds: Dict[str, _Witness] = {}
         if fn.entropy_sites:
             line, sink = fn.entropy_sites[0]
-            entropy[fn.qualname] = _Witness(line=line, desc=f"{sink}()")
+            seeds["entropy"] = _Witness(line=line, desc=f"{sink}()")
+        for m in fn.writes:
+            seeds.setdefault(m.kind, _Witness(line=m.line, desc=m.desc))
+        if seeds:
+            facts[fn.qualname] = seeds
             work.append(fn.qualname)
     while work:
         callee = work.pop()
+        known = facts[callee]
         for caller, site in callers.get(callee, ()):
-            if caller in entropy:
-                continue
-            entropy[caller] = _Witness(
-                line=site.line, desc="", via=callee)
-            work.append(caller)
-
-
-_MUT_KINDS = ("self", "args", "global")
-
-
-def _propagate_impurity(result: ProgramResult) -> None:
-    """Fixpoint over mutates-{self,args,global} facts, every edge."""
-    program = result.program
-    impure = result.impure
-    callers: Dict[str, List[Tuple[str, CallSite]]] = {}
-    work: List[str] = []
-    for fn in program.functions.values():
-        for site in fn.calls:
-            callers.setdefault(site.callee, []).append(
-                (fn.qualname, site))
-        if fn.mutations:
-            impure[fn.qualname] = {
-                kind: _Witness(line=m.line, desc=m.desc)
-                for kind, m in fn.mutations.items()}
-            work.append(fn.qualname)
-
-    def add(qual: str, kind: str, witness: _Witness) -> bool:
-        facts = impure.setdefault(qual, {})
-        if kind in facts:
-            return False
-        facts[kind] = witness
-        return True
-
-    while work:
-        callee = work.pop()
-        facts = impure.get(callee, {})
-        for caller, site in callers.get(callee, ()):
+            gained: List[Tuple[str, str]] = []    # (caller kind, via)
+            if "entropy" in known and (site.kind == "direct"
+                                       or site.unique):
+                gained.append(("entropy", "entropy"))
+            if "global" in known:
+                gained.append(("global", "global"))
+            if "self" in known and site.receiver_root in _LANDS:
+                gained.append((_LANDS[site.receiver_root], "self"))
+            if "args" in known:
+                gained += [(_LANDS[root], "args") for root in _LANDS
+                           if root in site.arg_roots]
+            caller_facts = facts.setdefault(caller, {})
             changed = False
-            w = _Witness(line=site.line, desc="", via=callee)
-            if "global" in facts:
-                changed |= add(caller, "global", w)
-            if "self" in facts and site.receiver_root is not None:
-                root = site.receiver_root
-                if root == SELF:
-                    changed |= add(caller, "self", w)
-                elif root == PARAM:
-                    changed |= add(caller, "args", w)
-                elif root == OTHER:
-                    changed |= add(caller, "global", w)
-            if "args" in facts:
-                roots = set(site.arg_roots)
-                if SELF in roots:
-                    changed |= add(caller, "self", w)
-                if PARAM in roots:
-                    changed |= add(caller, "args", w)
-                if OTHER in roots:
-                    changed |= add(caller, "global", w)
+            for kind, via_kind in gained:
+                if kind not in caller_facts:
+                    caller_facts[kind] = _Witness(
+                        line=site.line, desc="", via=callee,
+                        via_kind=via_kind)
+                    changed = True
             if changed:
                 work.append(caller)
 
@@ -844,8 +668,7 @@ def _compute_hot(result: ProgramResult) -> None:
             work.append(entry)
     while work:
         qual = work.pop()
-        fn = program.functions[qual]
-        for site in fn.calls:
+        for site in program.functions[qual].calls:
             if site.kind == "dynamic" and not site.unique:
                 continue
             if site.callee in hot or site.callee not in program.functions:
@@ -858,43 +681,24 @@ def _compute_hot(result: ProgramResult) -> None:
 # Chains (for messages)
 # ---------------------------------------------------------------------------
 
-def _entropy_chain(result: ProgramResult, qual: str) -> str:
-    parts = [_short(qual)]
-    seen = {qual}
-    cur = qual
-    while True:
-        w = result.entropy.get(cur)
-        if w is None:
-            break
-        if w.via is None or w.via in seen:
-            mod = result.program.functions[cur].module
-            path = result.program.modules[mod].path
-            parts.append(f"{w.desc} ({path}:{w.line})")
-            break
-        seen.add(w.via)
-        parts.append(_short(w.via))
-        cur = w.via
-    return " -> ".join(parts)
-
-
-def _impurity_chain(result: ProgramResult, qual: str, kind: str) -> str:
+def _chain(result: ProgramResult, qual: str, kind: str) -> str:
+    """Follow the witnesses of ``kind``, each hop through the callee
+    fact it was propagated from, down to the direct site."""
     parts = [_short(qual)]
     seen = {qual}
     cur, cur_kind = qual, kind
     while True:
-        facts = result.impure.get(cur, {})
-        w = facts.get(cur_kind) or next(iter(facts.values()), None)
+        w = result.facts.get(cur, {}).get(cur_kind)
         if w is None:
             break
         if w.via is None or w.via in seen:
             mod = result.program.functions[cur].module
-            path = result.program.modules[mod].path
-            parts.append(f"{w.desc} ({path}:{w.line})")
+            parts.append(
+                f"{w.desc} ({result.program.modules[mod].path}:{w.line})")
             break
         seen.add(w.via)
         parts.append(_short(w.via))
-        cur = w.via
-        cur_kind = next(iter(result.impure.get(cur, {"": None})))
+        cur, cur_kind = w.via, w.via_kind
     return " -> ".join(parts)
 
 
@@ -921,16 +725,8 @@ def _short(qual: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Rule evaluation
+# Rule queries
 # ---------------------------------------------------------------------------
-
-def _make_violation(result: ProgramResult, rule_id: str, module: str,
-                    line: int, message: str) -> Violation:
-    mod = result.program.modules[module]
-    src = mod.lines[line - 1] if 1 <= line <= len(mod.lines) else ""
-    return Violation(rule=rule_by_id(rule_id), path=mod.path,
-                     line=line, col=0, message=message, source_line=src)
-
 
 def _check_layering(result: ProgramResult) -> None:
     program, manifest = result.program, result.manifest
@@ -945,110 +741,66 @@ def _check_layering(result: ProgramResult) -> None:
             allowed = ()
             if src_layer in manifest.layers:
                 allowed = manifest.layers[src_layer].allowed
-            result.violations.append(_make_violation(
-                result, "SIM015", mod.name, line,
+            result.report(
+                "SIM015", mod.name, line,
                 f"{mod.name} (layer '{src_layer}') imports {target} "
                 f"(layer '{dst_layer}'), which the architecture DAG "
                 f"forbids (allowed: "
                 f"{', '.join(allowed) if allowed else 'nothing'}); "
                 f"move the dependency below the boundary or add a "
                 f"named friend exemption in "
-                f"repro/analysis/architecture.py"))
-    # cycles: Tarjan over the intra-package import graph
-    for scc in _strongly_connected(program):
-        if len(scc) < 2:
-            mod = program.modules[scc[0]]
-            if scc[0] not in mod.imports:
-                continue
-        cycle = sorted(scc)
+                f"repro/analysis/architecture.py")
+    for cycle in _import_cycles(program):
         anchor = program.modules[cycle[0]]
         nxt = next((m for m in cycle[1:] if m in anchor.imports),
                    cycle[0])
-        line = anchor.imports.get(nxt, 1)
-        result.violations.append(_make_violation(
-            result, "SIM015", cycle[0], line,
+        result.report(
+            "SIM015", cycle[0], anchor.imports.get(nxt, 1),
             f"import cycle between modules: {' -> '.join(cycle)} -> "
-            f"{cycle[0]}; the module graph must stay a DAG"))
+            f"{cycle[0]}; the module graph must stay a DAG")
 
 
-def _strongly_connected(program: Program) -> List[List[str]]:
-    """Tarjan's SCC over intra-package import edges."""
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    out: List[List[str]] = []
-    counter = [0]
-
-    def edges(m: str) -> Iterable[str]:
-        return (t for t in program.modules[m].imports
-                if t in program.modules and t != m)
-
-    def strongconnect(v: str) -> None:
-        # iterative Tarjan to survive deep graphs
-        work = [(v, iter(edges(v)))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
+def _import_cycles(program: Program) -> List[List[str]]:
+    """Strongly connected components (size > 1) of the intra-package
+    import graph, each sorted: the modules that reach each other."""
+    reach: Dict[str, Set[str]] = {}
+    for start in program.modules:
+        seen: Set[str] = set()
+        work = [start]
         while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(edges(w))))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
-
-    for v in sorted(program.modules):
-        if v not in index:
-            strongconnect(v)
-    return [c for c in out if len(c) > 1]
+            node = work.pop()
+            for t in program.modules[node].imports:
+                if t != node and t in program.modules and t not in seen:
+                    seen.add(t)
+                    work.append(t)
+        reach[start] = seen
+    cycles: List[List[str]] = []
+    done: Set[str] = set()
+    for m in sorted(program.modules):
+        if m not in done and m in reach[m]:
+            cycle = sorted(w for w in reach[m] if m in reach[w])
+            done.update(cycle)
+            cycles.append(cycle)
+    return cycles
 
 
 def _check_transitive_entropy(result: ProgramResult) -> None:
     for qual, fn in sorted(result.program.functions.items()):
-        if qual not in result.entropy:
-            continue
-        if fn.entropy_sites:
-            continue        # direct sites are SIM001's turf
-        w = result.entropy[qual]
-        chain = _entropy_chain(result, qual)
-        result.violations.append(_make_violation(
-            result, "SIM016", fn.module, w.line,
+        w = result.facts.get(qual, {}).get("entropy")
+        if w is None or fn.entropy_sites:
+            continue        # direct sites are SIM001's
+        result.report(
+            "SIM016", fn.module, w.line,
             f"{_short(qual)}() reaches host wall-clock/entropy through "
-            f"the call chain {chain}; use sim.now / a seeded "
-            f"random.Random, or sanction the sink itself with "
-            f"# simlint: ignore[SIM001]"))
+            f"the call chain {_chain(result, qual, 'entropy')}; use sim.now "
+            f"/ a seeded random.Random, or sanction the sink itself with "
+            f"# simlint: ignore[SIM001]")
 
 
 def _call_is_impure(result: ProgramResult,
                     site: CallSite) -> Optional[str]:
     """Mutation kind this call inflicts on non-scratch state, or None."""
-    facts = result.impure.get(site.callee)
-    if not facts:
-        return None
+    facts = result.facts.get(site.callee, {})
     if "global" in facts:
         return "global"
     if "self" in facts and site.receiver_root in (PARAM, OTHER, SELF):
@@ -1059,154 +811,229 @@ def _call_is_impure(result: ProgramResult,
     return None
 
 
-def _check_module_purity(result: ProgramResult, modules: Set[str],
-                         rule_id: str, noun: str, remedy: str) -> None:
-    """Shared purity pass: every function in ``modules`` must avoid
-    calls inferred to mutate non-scratch state (SIM017's machinery,
-    parameterized so SIM019 can hold the attribution observers to the
-    same contract)."""
-    reported: Set[Tuple[str, int, str]] = set()
-    for qual, fn in sorted(result.program.functions.items()):
-        if fn.module not in modules:
-            continue
-        for site in fn.calls:
-            if site.kind == "dynamic" and not site.unique:
-                # equivocal by-name edges feed the summaries but are
-                # too noisy to anchor a violation (a dict's .get()
-                # would match every repo class named get)
+def _check_purity(result: ProgramResult) -> None:
+    """Pure observers: no direct writes to non-local state, no call
+    inferred to make one (facts exist once propagated)."""
+    manifest = result.manifest
+    for scope, direct_rule, call_rule, noun, remedy in _PURITY_SCOPES:
+        modules = set(getattr(manifest, scope))
+        for qual, fn in sorted(result.program.functions.items()):
+            if fn.module not in modules:
                 continue
-            kind = _call_is_impure(result, site)
-            if kind is None:
-                continue
-            key = (fn.qualname, site.line, site.callee)
-            if key in reported:
-                continue
-            reported.add(key)
-            chain = _impurity_chain(result, site.callee, kind)
-            what = {"self": "its receiver", "args": "its arguments",
-                    "global": "global state"}[kind]
-            result.violations.append(_make_violation(
-                result, rule_id, fn.module, site.line,
-                f"{noun} {_short(qual)}() calls "
-                f"{_short(site.callee)}(), inferred to mutate {what} "
-                f"({chain}); {remedy}"))
-
-
-def _check_oracle_purity(result: ProgramResult) -> None:
-    _check_module_purity(
-        result, set(result.manifest.oracle_modules), "SIM017", "oracle",
-        "oracles must be pure observers — read attributes and return "
-        "Violations, or move the mutation into the executor")
-
-
-def _check_attribution_purity(result: ProgramResult) -> None:
-    _check_module_purity(
-        result, set(result.manifest.attribution_modules), "SIM019",
-        "attribution observer",
-        "latency attribution must never mutate simulation state — "
-        "fold recorded spans into fresh local structures and return "
-        "them")
+            if direct_rule is not None:
+                for m in fn.named_calls + [
+                        m for m in fn.writes if m.kind != "self"]:
+                    result.report(
+                        direct_rule, fn.module, m.line,
+                        f"{noun} {_short(qual)}() {m.desc}: {remedy}",
+                        m.col)
+            reported: Set[Tuple[int, str]] = set()
+            for site in fn.calls:
+                if site.kind == "dynamic" and not site.unique:
+                    # equivocal by-name edges feed the summaries but are
+                    # too noisy to anchor a violation (a dict's .get()
+                    # would match every repo class named get)
+                    continue
+                kind = _call_is_impure(result, site)
+                if kind is None or (site.line, site.callee) in reported:
+                    continue
+                reported.add((site.line, site.callee))
+                chain = _chain(result, site.callee, kind)
+                what = {"self": "its receiver", "args": "its arguments",
+                        "global": "global state"}[kind]
+                result.report(
+                    call_rule, fn.module, site.line,
+                    f"{noun} {_short(qual)}() calls "
+                    f"{_short(site.callee)}(), inferred to mutate {what} "
+                    f"({chain}); {remedy}")
 
 
 def _check_hot_allocations(result: ProgramResult) -> None:
     program = result.program
     reported: Set[Tuple[str, int, str]] = set()
     for qual in sorted(result.hot):
-        fn = program.functions.get(qual)
-        if fn is None:
-            continue
+        fn = program.functions[qual]
         for alloc in fn.allocations:
             cls = program.classes.get(alloc.cls)
-            if cls is None or cls.has_slots:
-                continue
-            if program.class_is_slots_exempt(cls):
+            if cls is None or cls.has_slots or \
+                    program.class_is_slots_exempt(cls):
                 continue
             key = (fn.module, alloc.line, alloc.cls)
             if key in reported:
                 continue
             reported.add(key)
-            chain = _hot_chain(result, qual)
-            result.violations.append(_make_violation(
-                result, "SIM018", fn.module, alloc.line,
+            result.report(
+                "SIM018", fn.module, alloc.line,
                 f"{cls.name} (no __slots__) allocated in "
                 f"{_short(qual)}(), reachable from the per-event "
-                f"dispatch ({chain}); declare __slots__ / "
-                f"dataclass(slots=True) or move the allocation off "
-                f"the hot path"))
+                f"dispatch ({_hot_chain(result, qual)}); declare "
+                f"__slots__ / dataclass(slots=True) or move the "
+                f"allocation off the hot path")
+
+
+def _check_slots(result: ProgramResult, mod: ModuleInfo) -> None:
+    """SIM008: per-event classes of a hot module need slots."""
+    for cls in mod.class_defs:
+        tails = {b.rsplit(".", 1)[-1] for b in cls.bases}
+        if not (cls.is_dataclass or tails & HOT_BASE_CLASSES):
+            continue
+        if cls.has_slots or result.program.class_is_slots_exempt(cls):
+            continue
+        what = (f"dataclass {cls.name} without slots=True"
+                if cls.is_dataclass
+                else f"class {cls.name} without __slots__")
+        result.report("SIM008", mod.name, cls.lineno,
+                      f"hot-path {what}; instances are allocated per-I/O",
+                      cls.col)
+
+
+def analyze_program(program: Program, manifest: Optional[Manifest] = None,
+                    whole: bool = True,
+                    is_hot_module: Optional[bool] = None) -> ProgramResult:
+    """Every rule's findings over a linked program, unfiltered.
+
+    ``whole`` marks the package itself: only then do the graph rules
+    (SIM015–SIM019) run.  ``is_hot_module`` overrides the manifest's
+    ``hot_modules`` for SIM008.
+    """
+    result = ProgramResult(program=program,
+                           manifest=manifest or default_manifest())
+    if whole:
+        _propagate(result)
+        _compute_hot(result)
+        _check_layering(result)
+        _check_transitive_entropy(result)
+        _check_hot_allocations(result)
+    _check_purity(result)
+    for mod in program.modules.values():
+        result.violations.extend(mod.findings)
+        hot = is_hot_module if is_hot_module is not None \
+            else mod.name in result.manifest.hot_modules
+        if hot:
+            _check_slots(result, mod)
+    return result
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
-def analyze_program(program: Program,
-                    manifest: Optional[Manifest] = None) -> ProgramResult:
+def _kept(violations: Iterable[Violation],
+          programs: Iterable[Tuple[Program, bool]],
+          enabled: Optional[Iterable[str]]) -> List[Violation]:
+    """Drop disabled rules, skip-file modules and pragma'd lines."""
+    modules = {m.path: m for program, _ in programs
+               for m in program.modules.values()}
+    enabled_set = set(enabled) if enabled is not None else None
+    kept = []
+    for v in violations:
+        mod = modules[v.path]
+        if (enabled_set is None or v.rule.id in enabled_set) and \
+                not mod.skip and \
+                not suppressed(mod.pragmas, v.line, (v.rule.id,)):
+            kept.append(v)
+    kept.sort(key=lambda v: (v.path, v.line, v.rule.id, v.message, v.col))
+    return kept
+
+
+def _covers(paths: Sequence[str], package_root: Path) -> bool:
+    """True when some linted path is the package root or contains it."""
+    return any(Path(p).resolve() == package_root or
+               Path(p).resolve() in package_root.parents for p in paths)
+
+
+def lint_paths(paths: Sequence[str],
+               enabled: Optional[Iterable[str]] = None,
+               root: Optional[str] = None,
+               package_root: Optional[Path] = None,
+               manifest: Optional[Manifest] = None) -> LintResult:
+    """Lint files and directories: each file parsed and walked once.
+
+    When a path covers ``package_root``, the package is linked into one
+    :class:`Program` and the graph rules run over it (the program is
+    returned on the result); every other file is linked alone.
+    """
     manifest = manifest or default_manifest()
-    result = ProgramResult(program=program, manifest=manifest)
-    _sanction_pragma_sites(program)
-    _propagate_entropy(result)
-    _propagate_impurity(result)
-    _compute_hot(result)
-    _check_layering(result)
-    _check_transitive_entropy(result)
-    _check_oracle_purity(result)
-    _check_attribution_purity(result)
-    _check_hot_allocations(result)
-    result.violations.sort(
-        key=lambda v: (v.path, v.line, v.rule.id, v.message))
+    root_path = Path(root).resolve() if root else None
+    pkg_root = Path(package_root).resolve() if package_root else None
+    result = LintResult()
+    programs: List[Tuple[Program, bool]] = []
+    if pkg_root is not None and _covers(paths, pkg_root):
+        result.program = build_program(pkg_root, repo_root=root_path)
+        programs.append((result.program, True))
+    files: Dict[Path, Path] = {}          # resolved -> as given
+    for f in iter_python_files(paths):
+        files.setdefault(f.resolve(), f)
+    for f, given in files.items():
+        if result.program is not None and pkg_root in f.parents:
+            continue
+        rel = f.relative_to(root_path) \
+            if root_path is not None and root_path in f.parents else given
+        programs.append((_module_program(f.read_text(encoding="utf-8"),
+                                         rel.as_posix(), manifest), False))
+    result.files_checked = len(files)
+    found = [v for program, whole in programs
+             for v in analyze_program(program, manifest, whole).violations]
+    result.violations = _kept(found, programs, enabled)
     return result
 
 
-def _sanction_pragma_sites(program: Program) -> None:
-    """Drop entropy seeds whose site carries a SIM001/SIM016 pragma.
+def _module_program(source: str, path: str, manifest: Manifest) -> Program:
+    """One file outside the package, linked alone."""
+    mod = parse_module(source, path,
+                       *_loose_module_name(path, manifest.package))
+    return _link(Program(mod.name.split(".")[0]), [mod])
 
-    A pragma-sanctioned wall-clock read (host-side progress meters in
-    the bench runner) is a declared boundary: it must not taint its
-    transitive callers.
-    """
-    for fn in program.functions.values():
-        if not fn.entropy_sites:
-            continue
-        mod = program.modules[fn.module]
-        pragmas = _pragma_map(mod.lines)
-        kept = []
-        for line, sink in fn.entropy_sites:
-            ids = pragmas.get(line, "missing")
-            if ids == "missing":
-                kept.append((line, sink))
-                continue
-            if ids is None or {"SIM001", "SIM016"} & ids:
-                continue
-            kept.append((line, sink))
-        fn.entropy_sites = kept
+
+def lint_source(source: str, path: str = "<string>",
+                enabled: Optional[Iterable[str]] = None,
+                is_hot_module: Optional[bool] = None) -> List[Violation]:
+    """Lint one module's source text; returns un-suppressed violations."""
+    manifest = default_manifest()
+    program = _module_program(source, path, manifest)
+    found = analyze_program(program, manifest, whole=False,
+                            is_hot_module=is_hot_module).violations
+    return _kept(found, [(program, False)], enabled)
 
 
 def lint_program(package_root: Path,
                  manifest: Optional[Manifest] = None,
                  enabled: Optional[Iterable[str]] = None,
                  repo_root: Optional[Path] = None) -> List[Violation]:
-    """Run the whole-program pass; returns un-suppressed violations."""
-    program = build_program(Path(package_root), repo_root=repo_root)
-    result = analyze_program(program, manifest)
-    enabled_set = set(enabled) if enabled is not None else \
-        {r.id for r in RULES}
-    kept: List[Violation] = []
-    pragma_cache: Dict[str, Dict] = {}
-    by_path = {m.path: m for m in program.modules.values()}
-    for v in result.violations:
-        if v.rule.id not in enabled_set:
+    """The graph rules (SIM015–SIM019) over one package."""
+    package_root = Path(package_root).resolve()
+    rules = GRAPH_RULES if enabled is None else GRAPH_RULES & set(enabled)
+    return lint_paths([str(package_root)], enabled=rules,
+                      root=str(repo_root or package_root.parent),
+                      package_root=package_root,
+                      manifest=manifest).violations
+
+
+def build_program(package_root: Path,
+                  repo_root: Optional[Path] = None,
+                  package: Optional[str] = None) -> Program:
+    """Parse and link every module under ``package_root``.
+
+    ``repo_root`` controls the repo-relative paths recorded on
+    violations (defaults to the parent of ``package_root``) so that
+    fingerprints line up with ``lint_paths`` output.
+    """
+    package_root = Path(package_root).resolve()
+    repo_root = Path(repo_root).resolve() if repo_root is not None \
+        else package_root.parent
+    pkg = package or package_root.name
+    modules = []
+    for file in sorted(package_root.rglob("*.py")):
+        if "__pycache__" in file.parts:
             continue
-        mod = by_path.get(v.path)
-        if mod is not None:
-            if any(_SKIP_FILE_RE.search(line)
-                   for line in mod.lines[:10]):
-                continue
-            if v.path not in pragma_cache:
-                pragma_cache[v.path] = _pragma_map(mod.lines)
-            if _suppressed(v, pragma_cache[v.path]):
-                continue
-        kept.append(v)
-    return kept
+        try:
+            rel_path = file.relative_to(repo_root).as_posix()
+        except ValueError:
+            rel_path = file.as_posix()
+        modules.append(parse_module(file.read_text(encoding="utf-8"),
+                                    rel_path,
+                                    *_module_name(file, package_root, pkg)))
+    return _link(Program(package=pkg), modules)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """The simlint rule catalogue.
 
-Each rule is a small declarative record; the detection logic lives in
-:mod:`repro.analysis.linter`.  Rules target *simulation correctness*:
+Each rule is a small declarative record.  Its detection logic is a
+query over one program model: the facts and syntactic findings of the
+per-file walk (:mod:`repro.analysis.linter`) and the linked call and
+import graph (:mod:`repro.analysis.program`).  Rules target
+*simulation correctness*:
 the discrete-event engine promises that same-seed runs are byte
 identical, and every paper figure rests on that promise.  These rules
 mechanically exclude the ways Python code usually breaks it — wall
@@ -44,7 +47,7 @@ RULES: Tuple[Rule, ...] = (
             "a syntax error hides every other finding in the file and "
             "must not be misfiled under a semantic rule (it used to "
             "pollute SIM001 counts).  Fix the parse error first; the "
-            "whole-program pass also skips unparseable modules."
+            "program model links an unparseable module as opaque."
         ),
         tags=("infrastructure",),
     ),
@@ -231,9 +234,11 @@ RULES: Tuple[Rule, ...] = (
             "the invariant oracles in repro/chaos/oracles.py must be "
             "pure observers: a replayed scenario is only byte "
             "identical if judging it changes nothing.  An oracle that "
-            "assigns to a machine attribute, or calls a mutating "
-            "method (succeed/submit/record/...), perturbs the very "
-            "run it is auditing and poisons shrinker verdicts.  Move "
+            "writes through a parameter or a non-local name (an "
+            "attribute or subscript store, a container mutator, a "
+            "global rebinding) or calls a known mutating method "
+            "(succeed/submit/record/...) on one perturbs the very run "
+            "it is auditing and poisons shrinker verdicts.  Move "
             "state changes into the executor; oracles read and "
             "return Violations."
         ),
@@ -265,9 +270,9 @@ RULES: Tuple[Rule, ...] = (
         summary="model code reaches a wall-clock/entropy sink through "
                 "a call chain",
         rationale=(
-            "SIM001 sees one file at a time; hiding time.time() one "
-            "helper away defeats it.  The whole-program pass "
-            "propagates reads-host-entropy summaries over the call "
+            "SIM001 reports the sites themselves; hiding time.time() "
+            "one helper away would defeat it.  The program model "
+            "propagates the same seed list over the call "
             "graph, so a function whose own body is clean is still "
             "flagged when something it calls (transitively) reads the "
             "host clock or OS entropy.  The full call chain is "
@@ -283,9 +288,8 @@ RULES: Tuple[Rule, ...] = (
         summary="chaos oracle calls a function inferred to mutate "
                 "simulation state",
         rationale=(
-            "SIM014 catches direct mutations and calls to a hardcoded "
-            "list of mutator names; this rule replaces the name-list "
-            "guesswork with inference: every function in the repo "
+            "SIM014 catches the oracle's own writes; this rule "
+            "follows its calls with inference: every function in the repo "
             "gets a purity summary (mutates its receiver, its "
             "arguments, or global state) propagated interprocedurally "
             "to a fixpoint, and an oracle calling anything impure on "
@@ -302,7 +306,7 @@ RULES: Tuple[Rule, ...] = (
         summary="function reachable from the engine's per-event "
                 "dispatch allocates an unslotted class",
         rationale=(
-            "SIM008 checks class *definitions* in three hardcoded "
+            "SIM008 checks class *definitions* in the manifest's hot "
             "modules; this rule checks *allocation sites*: any class "
             "without __slots__ (or dataclass(slots=True)) constructed "
             "in a function transitively reachable from the engine's "

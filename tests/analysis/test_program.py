@@ -5,6 +5,7 @@ manifests; the real ``src/repro`` tree is analysed with the default
 manifest at the end (mirroring what CI enforces).
 """
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -17,12 +18,11 @@ from repro.analysis import (
     default_manifest,
     export_dot,
     export_json,
+    lint_paths,
     lint_program,
     lint_source,
 )
-from repro.analysis.linter import ORACLE_MUTATORS
-
-REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+from repro.analysis.program import GRAPH_RULES, ORACLE_MUTATORS
 
 
 def write_pkg(root: Path, files: dict) -> Path:
@@ -193,6 +193,36 @@ def test_sim017_fires_via_inference(tmp_path):
     assert "refresh_cache" in msg
     # the inference chain reaches the underlying mutation
     assert "insert_item" in msg
+
+
+def test_sim017_chain_follows_the_propagated_fact(tmp_path):
+    # g writes through its argument first, then rebinds a global; the
+    # oracle is flagged for the global write, so the witness chain must
+    # end at the rebinding, not at g's first mutation
+    pkg = write_pkg(tmp_path, {
+        "helpers.py": """
+            def f(store):
+                return g(store)
+            def g(store):
+                global COUNTER
+                store.items[1] = 2
+                COUNTER = 1
+            COUNTER = 0
+        """,
+        "oracles.py": """
+            from .helpers import f
+
+            def check(store):
+                f(store)
+                return []
+        """,
+    })
+    manifest = empty_manifest(oracle_modules=("pkg.oracles",))
+    vs = lint_program(pkg, manifest=manifest, repo_root=tmp_path)
+    [flagged] = [v for v in vs if v.rule.id == "SIM017"]
+    assert "inferred to mutate global state" in flagged.message
+    chain = flagged.message.split("(", 1)[1].rsplit(");", 1)[0]
+    assert chain.endswith("rebinds global COUNTER (pkg/helpers.py:7)")
 
 
 def test_sim017_helper_is_not_in_any_hardcoded_list():
@@ -444,6 +474,26 @@ def test_import_edges_skip_implicit_ancestors(tmp_path):
     assert "pkg" not in imports
 
 
+def test_each_file_is_parsed_once(tmp_path, monkeypatch):
+    pkg = oracle_pkg(tmp_path)
+    extra = tmp_path / "extra.py"
+    extra.write_text("import time\n\ndef f():\n    return time.time()\n")
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(str(filename))
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    result = lint_paths([str(pkg), str(extra)], root=str(tmp_path),
+                        package_root=pkg)
+    assert [v.rule.id for v in result.violations] == ["SIM001"]
+    assert result.files_checked == 5
+    assert sorted(parsed) == sorted(set(parsed))
+    assert len(parsed) == result.files_checked
+
+
 def test_reexport_chain_is_followed(tmp_path):
     pkg = write_pkg(tmp_path, {
         "impl.py": """
@@ -487,16 +537,14 @@ def test_unparseable_module_does_not_crash_the_pass(tmp_path):
 # The real tree (what CI enforces)
 # ---------------------------------------------------------------------------
 
-def test_real_repo_program_pass_is_clean():
-    vs = lint_program(REPO_ROOT / "src" / "repro",
-                      repo_root=REPO_ROOT)
+def test_real_repo_program_pass_is_clean(real_tree):
+    vs = [v for v in real_tree.violations if v.rule.id in GRAPH_RULES]
     assert vs == [], "\n".join(
         f"{v.rule.id} {v.path}:{v.line} {v.message}" for v in vs)
 
 
-def test_real_repo_graph_shape():
-    program = build_program(REPO_ROOT / "src" / "repro",
-                            repo_root=REPO_ROOT)
+def test_real_repo_graph_shape(real_tree):
+    program = real_tree.program
     manifest = default_manifest()
     assert "repro.sim.engine" in program.modules
     assert len(program.modules) > 50
@@ -509,9 +557,8 @@ def test_real_repo_graph_shape():
                                    "repro.sim.engine")
 
 
-def test_real_repo_graph_exports():
-    program = build_program(REPO_ROOT / "src" / "repro",
-                            repo_root=REPO_ROOT)
+def test_real_repo_graph_exports(real_tree):
+    program = real_tree.program
     dot = export_dot(program)
     assert dot.startswith("digraph")
     assert '"kernel" -> "sim"' in dot

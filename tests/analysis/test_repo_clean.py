@@ -9,7 +9,6 @@ from pathlib import Path
 from repro.analysis import (
     RULES,
     apply_baseline,
-    lint_paths,
     load_baseline,
     render_human,
 )
@@ -17,23 +16,24 @@ from repro.analysis import (
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
-def test_src_repro_lints_clean():
-    result = lint_paths([str(REPO_ROOT / "src" / "repro")],
-                        root=str(REPO_ROOT))
-    baseline = load_baseline(str(REPO_ROOT / "simlint-baseline.json"))
-    result = apply_baseline(result, baseline)
+def _baselined(real_tree, prefixes):
+    result = apply_baseline(real_tree, load_baseline(
+        str(REPO_ROOT / "simlint-baseline.json")))
+    result.violations = [v for v in result.violations
+                         if v.path.startswith(prefixes)]
+    return result
+
+
+def test_src_repro_lints_clean(real_tree):
+    result = _baselined(real_tree, ("src/repro/",))
     assert result.ok, "\n" + render_human(result)
-    assert result.files_checked > 50
+    assert len(real_tree.program.modules) > 50
 
 
-def test_tests_and_scripts_lint_clean_with_baseline():
+def test_tests_and_scripts_lint_clean_with_baseline(real_tree):
     # CI lints tests/ and scripts/ too; anything flagged there must be
     # fixed or carry a justified baseline entry
-    result = lint_paths([str(REPO_ROOT / "tests"),
-                         str(REPO_ROOT / "scripts")],
-                        root=str(REPO_ROOT))
-    baseline = load_baseline(str(REPO_ROOT / "simlint-baseline.json"))
-    result = apply_baseline(result, baseline)
+    result = _baselined(real_tree, ("tests/", "scripts/"))
     assert result.ok, "\n" + render_human(result)
 
 
@@ -50,10 +50,11 @@ def test_every_baseline_entry_has_a_real_justification():
 def test_cli_exit_codes_and_json(tmp_path):
     env_script = REPO_ROOT / "scripts" / "simlint.py"
 
+    # the one CLI run over the full tree CI gates on
     clean = subprocess.run(
-        [sys.executable, str(env_script), str(REPO_ROOT / "src" / "repro"),
+        [sys.executable, str(env_script), "src/repro", "tests", "scripts",
          "--json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, cwd=REPO_ROOT)
     assert clean.returncode == 0, clean.stdout + clean.stderr
     payload = json.loads(clean.stdout)
     assert payload["violations"] == []
@@ -100,16 +101,3 @@ def test_cli_graph_exports():
     data = json.loads(graph.stdout)
     assert data["package"] == "repro"
     assert "repro.sim.engine" in data["modules"]
-
-
-def test_cli_no_program_flag_skips_whole_program_pass(tmp_path):
-    # a deliberately mislayered toy package root is NOT analysed when
-    # --no-program is set (the per-module pass still runs)
-    script = REPO_ROOT / "scripts" / "simlint.py"
-    out = subprocess.run(
-        [sys.executable, str(script),
-         str(REPO_ROOT / "src" / "repro"), "--no-program", "--json"],
-        capture_output=True, text=True)
-    assert out.returncode == 0, out.stdout + out.stderr
-    payload = json.loads(out.stdout)
-    assert payload["violations"] == []

@@ -487,6 +487,15 @@ def test_sim012_ok_compliant_and_dynamic_names():
     assert "SIM012" not in _ids(vs)
 
 
+def test_sim012_scheme_matches_the_monitor():
+    # the monitor rejects off-scheme gauges at runtime with its own
+    # regex; simlint must enforce the same pattern statically
+    from repro.analysis.linter import GAUGE_NAME_RE as LINT_RE
+    from repro.obs.monitor import GAUGE_NAME_RE as MONITOR_RE
+    assert LINT_RE.pattern == MONITOR_RE.pattern
+    assert LINT_RE.flags == MONITOR_RE.flags
+
+
 # -- SIM013: multiprocessing outside bench/runner.py --------------------
 
 def test_sim013_flags_multiprocessing_import():

@@ -1,8 +1,14 @@
-"""Shared fixtures: small machines that keep unit tests fast."""
+"""Shared fixtures: small machines that keep unit tests fast, and the
+real tree linted once for the simlint repo tests."""
+
+from pathlib import Path
 
 import pytest
 
 from repro import GiB, Machine
+from repro.analysis import lint_paths
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -21,3 +27,13 @@ def timing_machine():
 def run(machine, gen):
     """Drive a workload generator to completion on ``machine``."""
     return machine.run_process(gen)
+
+
+@pytest.fixture(scope="session")
+def real_tree():
+    """``simlint src/repro tests scripts`` without the baseline: every
+    finding, plus the linked ``src/repro`` program on ``.program``."""
+    return lint_paths([str(REPO_ROOT / d)
+                       for d in ("src/repro", "tests", "scripts")],
+                      root=str(REPO_ROOT),
+                      package_root=REPO_ROOT / "src" / "repro")
