@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint simlint simlint-fix simlint-graph ruff mypy baseline perf-gate monitor-demo bench-fast bench-clean bench-timings bench-engine engine-diff chaos chaos-replay sweep-gate sweep-baseline sweep-timings
+.PHONY: test lint simlint simlint-fix simlint-graph ruff mypy baseline perf-gate paper-scale-memory monitor-demo bench-fast bench-clean bench-timings bench-engine engine-diff chaos chaos-replay sweep-gate sweep-baseline sweep-timings
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,6 +44,11 @@ perf-gate:
 	$(PYTHON) -m repro.bench all --jobs 1 --no-cache \
 	  --timings .perf-gate-timings.json > /dev/null
 	$(PYTHON) scripts/perf_gate.py .perf-gate-timings.json
+
+# host memory at the paper's store size: the 50M-object KVell run on
+# bypassd must peak under 100 MiB RSS and give its committed kops/p99
+paper-scale-memory:
+	$(PYTHON) scripts/paper_scale_memory.py
 
 # metric regression gate: run the default sweep grid (cached) and
 # compare every cell against the committed sweep-baseline.json, each

@@ -251,6 +251,9 @@ class FunctionInfo:
     # raw walk facts: calls and store targets in source order
     events: List[ast.AST] = field(default_factory=list, repr=False)
     globals: Set[str] = field(default_factory=set, repr=False)
+    # names a nested def declares ``nonlocal``: locals of an enclosing
+    # def of this unit, so rebinding one writes no global state
+    nonlocals: Set[str] = field(default_factory=set, repr=False)
     fresh: List[Tuple[str, ast.AST]] = field(default_factory=list,
                                              repr=False)
     # unsanctioned entropy seeds in this unit: (line, sink)
@@ -529,7 +532,9 @@ class _Walker(ast.NodeVisitor):
         if self.unit is not None:
             self.unit.globals.update(node.names)
 
-    visit_Nonlocal = visit_Global
+    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
+        if self.unit is not None:
+            self.unit.nonlocals.update(node.names)
 
     # -- imports (aliases, edges later; SIM013) -----------------------------
 

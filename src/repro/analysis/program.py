@@ -571,7 +571,9 @@ class _FunctionLinker:
         elif isinstance(target, ast.Subscript):
             self._record_mutation(self._root_of(target), target,
                                   f"writes {ast.unparse(target)}")
-        elif isinstance(target, ast.Name) and target.id in self.fn.globals:
+        elif isinstance(target, ast.Name) and \
+                target.id in self.fn.globals and \
+                target.id not in self.fn.nonlocals:
             self._record_mutation(OTHER, target,
                                   f"rebinds global {target.id}")
 

@@ -13,6 +13,11 @@ absent entry, which the IOMMU turns into a translation fault and
 UserLib into a kernel-path retry.  Filling a hole or growing the tail
 updates the shared leaves in place — visible to every attached process
 at once; only brand-new leaves need (re-)attachment.
+
+A leaf filled from one extent keeps that run as three numbers until a
+walk, or an extent that does not continue the run, builds its 512
+entries (``PageTableNode``), so a cold fmap costs the host O(extents)
+memory.  The counts and the density check read the run as it is.
 """
 
 from __future__ import annotations
@@ -93,9 +98,8 @@ class FileTable:
             if leaf is None:
                 leaf = leaves[leaf_idx] = PageTableNode(LEVEL_PT)
                 new_leaves.append(leaf_idx)
-            stop = base + n * _FTE_STEP
-            leaf.entries[slot:slot + n] = range(base, stop, _FTE_STEP)
-            base = stop
+            leaf.fill(slot, n, base)
+            base += n * _FTE_STEP
             page += n
         self.pages = max(self.pages, end)
         cost = count * params.fte_write_ns
@@ -128,7 +132,7 @@ class FileTable:
         if slot:
             leaf = self.leaves[keep_pages // PAGES_PER_LEAF]
             if leaf is not None:
-                leaf.entries[slot:] = [0] * (PAGES_PER_LEAF - slot)
+                leaf.clear_from(slot)
         dead = [idx for idx in range(first_dead_leaf, len(self.leaves))
                 if self.leaves[idx] is not None]
         del self.leaves[first_dead_leaf:]
@@ -145,21 +149,23 @@ class FileTable:
         leaf_idx, slot = divmod(page, PAGES_PER_LEAF)
         if leaf_idx >= len(self.leaves) or self.leaves[leaf_idx] is None:
             return False
-        return pte_present(self.leaves[leaf_idx].entries[slot])
+        return pte_present(self.leaves[leaf_idx].entry(slot))
 
     def check_dense(self) -> None:
         """For hole-free files: entries dense in [0, pages)."""
         seen = 0
         for leaf in self.leaves:
-            for slot in range(ENTRIES_PER_NODE):
-                present = (leaf is not None
-                           and pte_present(leaf.entries[slot]))
-                expected = seen < self.pages
-                if present != expected:
-                    raise AssertionError(
-                        f"file table density broken at page {seen}"
-                    )
-                seen += 1
+            want = min(ENTRIES_PER_NODE, max(0, self.pages - seen))
+            expected = b"\x01" * want + bytes(ENTRIES_PER_NODE - want)
+            present = (bytes(ENTRIES_PER_NODE) if leaf is None
+                       else leaf.present_map())
+            if present != expected:
+                slot = next(slot for slot in range(ENTRIES_PER_NODE)
+                            if present[slot] != expected[slot])
+                raise AssertionError(
+                    f"file table density broken at page {seen + slot}"
+                )
+            seen += ENTRIES_PER_NODE
         if seen < self.pages:
             raise AssertionError("file table shorter than page count")
 

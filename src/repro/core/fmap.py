@@ -26,7 +26,8 @@ brand-new leaves are attached to every mapped process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Iterable, List, Optional, Set, Tuple
+from itertools import compress
+from typing import Dict, Generator, List, Optional, Tuple
 
 from ..fs.ext4.filesystem import Ext4Filesystem
 from ..fs.ext4.inode import Inode
@@ -53,7 +54,15 @@ class Attachment:
     region_leaves: int   # VA capacity in leaves (growth headroom)
     writable: bool
     refcount: int = 1
-    attached: Set[int] = field(default_factory=set)  # leaf indices
+    # One flag byte per leaf of the region: 1 where that leaf is linked.
+    attached: bytearray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.attached = bytearray(self.region_leaves)
+
+    def linked_leaves(self) -> List[int]:
+        """Indices of the leaves linked into the region, ascending."""
+        return list(compress(range(self.region_leaves), self.attached))
 
 
 class FmapManager:
@@ -92,7 +101,7 @@ class FmapManager:
             if fdesc.writable and not existing.writable:
                 # Permission upgrade: re-attach with the R/W bit set at
                 # the private intermediate entries.
-                self._unlink(existing, list(existing.attached))
+                self._unlink(existing, existing.linked_leaves())
                 existing.writable = True
                 self._link(existing, 0, inode.file_table.leaves)
                 self.iommu.invalidate_range(
@@ -123,7 +132,7 @@ class FmapManager:
             writable=fdesc.writable)
         self._link(attachment, 0, table.leaves)
         yield from thread.compute(
-            max(1, len(attachment.attached)) * self.params.pmd_attach_ns)
+            max(1, attachment.attached.count(1)) * self.params.pmd_attach_ns)
 
         attachments[proc.pasid] = attachment
         inode.fmap_attachments[proc.pasid] = base_va
@@ -171,18 +180,21 @@ class FmapManager:
         linked = attachment.proc.aspace.page_table.attach_leaves(
             attachment.base_va + first * PMD_SPAN, leaves,
             writable=attachment.writable)
-        attachment.attached.update(
-            [first + idx for idx in linked] if first else linked)
+        attached = attachment.attached
+        for idx in linked:
+            attached[first + idx] = 1
 
     @staticmethod
-    def _unlink(attachment: Attachment, indices: Iterable[int]) -> None:
+    def _unlink(attachment: Attachment, indices: List[int]) -> None:
         """Detach the leaves at ``indices``."""
         attachment.proc.aspace.page_table.detach_leaves(
             attachment.base_va, indices)
-        attachment.attached.difference_update(indices)
+        attached = attachment.attached
+        for idx in indices:
+            attached[idx] = 0
 
     def _detach(self, inode: Inode, attachment: Attachment) -> None:
-        self._unlink(attachment, list(attachment.attached))
+        self._unlink(attachment, attachment.linked_leaves())
         self.iommu.invalidate_range(
             attachment.proc.pasid, attachment.base_va,
             attachment.region_leaves * PMD_SPAN)
@@ -252,7 +264,7 @@ class FmapManager:
         attachments = self._attachments.get(inode.ino, {})
         for attachment in attachments.values():
             self._unlink(attachment, [idx for idx in dead
-                                      if idx in attachment.attached])
+                                      if attachment.attached[idx]])
             self.iommu.invalidate_range(
                 attachment.proc.pasid,
                 attachment.base_va + keep_pages * PAGE,

@@ -20,13 +20,24 @@ Python object reference.  Effective writability is the AND of the
 writable bits along the walk, which is exactly how BypassD grants
 per-process read-only views of shared, maximally-permissive file
 tables (Section 4.1, Figure 4).
+
+Host storage follows the entries' shape, not their count.  Interior
+flags are only ever 0, 5 or 7, so they sit in a ``bytearray``.  Leaf
+entries are the 64-bit lanes of an ``array('Q')``, and a run of
+consecutive frames is written as one big-integer multiply-add (see
+``_frames``).  A leaf that has only received one such run keeps it as
+``(slot, count, first entry)`` and builds its array when a walk first
+reads it or a second, discontiguous run lands in it.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from bisect import bisect_left
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 __all__ = [
     "PAGE_SHIFT",
@@ -76,6 +87,20 @@ _FRAME_SHIFT = 12
 _FRAME_MASK = ((1 << 40) - 1) << _FRAME_SHIFT
 _DEVID_SHIFT = 52
 _DEVID_MASK = 0x3F << _DEVID_SHIFT
+_FRAME_STEP = 1 << _FRAME_SHIFT   # consecutive frames' entries differ by this
+
+# ``first * _ONES + _RAMP`` has ``first + i * _FRAME_STEP`` in its i-th
+# 64-bit lane: a leaf of consecutive frames from one multiply-add.  No
+# lane carries into the next while every entry fits in 64 bits.
+_LANE_BITS = 64
+_ONES = sum(1 << (_LANE_BITS * i) for i in range(ENTRIES_PER_NODE))
+_RAMP = sum((i * _FRAME_STEP) << (_LANE_BITS * i)
+            for i in range(ENTRIES_PER_NODE))
+_BIG_ENDIAN = sys.byteorder == "big"
+_LOW_BYTE = 7 if _BIG_ENDIAN else 0   # of each packed lane
+_BIT0 = bytes(b & 1 for b in range(256))   # byte -> its PRESENT bit
+_ZERO_LEAF = array("Q", bytes(8 * ENTRIES_PER_NODE))
+_EMPTY_RUN = (0, 0, 0)
 
 
 def level_span(level: int) -> int:
@@ -101,6 +126,22 @@ def _pmd_runs(va: int, count: int) -> Iterator[Tuple[int, int, int]]:
         n = min(ENTRIES_PER_NODE - _index(run_va, LEVEL_PMD), count - first)
         yield run_va, first, n
         first += n
+
+
+def _frames(first: int, count: int) -> array:
+    """``count`` entries for consecutive frames from entry ``first``.
+
+    The top ``count`` lanes of the full-leaf sum, shifted down, start
+    ``512 - count`` frames after lane 0; starting that many frames
+    early makes lane 0 equal ``first``.
+    """
+    drop = ENTRIES_PER_NODE - count
+    lanes = ((first - drop * _FRAME_STEP) * (_ONES >> (_LANE_BITS * drop))
+             + (_RAMP >> (_LANE_BITS * drop)))
+    run = array("Q", lanes.to_bytes(8 * count, "little"))
+    if _BIG_ENDIAN:
+        run.byteswap()
+    return run
 
 
 def pte_encode(pfn: int, writable: bool = True, user: bool = True,
@@ -159,26 +200,123 @@ def fte_devid(entry: int) -> int:
 
 
 class PageTableNode:
-    """One 512-entry node.  Interior nodes also hold child references."""
+    """One 512-entry node.  Interior nodes also hold child references.
 
-    __slots__ = ("level", "entries", "children")
+    A leaf starts without an array: ``_run`` holds the one run of
+    consecutive frames it has received so far as (slot, count, first
+    entry); a run that continues it extends it, a truncate shortens it,
+    and the presence queries answer from it.  Reading ``entries`` (a
+    walk does) or a run that does not continue it builds the array;
+    from then on ``_run`` is None.
+    """
+
+    __slots__ = ("level", "_entries", "children", "_run")
 
     def __init__(self, level: int):
         if not LEVEL_PT <= level <= LEVEL_PGD:
             raise ValueError(f"bad node level {level}")
         self.level = level
-        self.entries: List[int] = [0] * ENTRIES_PER_NODE
-        self.children: Optional[List[Optional["PageTableNode"]]] = (
-            None if level == LEVEL_PT else [None] * ENTRIES_PER_NODE
-        )
+        self.children: Optional[List[Optional["PageTableNode"]]]
+        self._entries: Union[bytearray, array, None]
+        self._run: Optional[Tuple[int, int, int]]
+        if level == LEVEL_PT:
+            self.children = None
+            self._entries = None
+            self._run = _EMPTY_RUN
+        else:
+            self.children = [None] * ENTRIES_PER_NODE
+            self._entries = bytearray(ENTRIES_PER_NODE)
+            self._run = None
+
+    @property
+    def entries(self) -> Union[bytearray, array]:
+        """The 512 entries; builds a leaf's array on first use."""
+        entries = self._entries
+        if entries is None:
+            entries = self.materialise()
+        return entries
+
+    @property
+    def materialised(self) -> bool:
+        """Whether the entries are stored as an array (not a run)."""
+        return self._entries is not None
+
+    def materialise(self) -> array:
+        """A leaf's array, built from its run on the first call."""
+        entries = self._entries
+        if entries is None:
+            assert self._run is not None
+            slot, count, first = self._run
+            # Copying an array allocates it exactly; building one from
+            # bytes would over-allocate by about 8%.
+            entries = array("Q", _ZERO_LEAF)
+            if count:
+                entries[slot:slot + count] = _frames(first, count)
+            self._entries, self._run = entries, None
+        assert isinstance(entries, array)
+        return entries
+
+    def fill(self, slot: int, count: int, first: int) -> None:
+        """Set ``count`` leaf entries from ``slot`` to consecutive
+        frames, the first entry being ``first``.  Every entry of the
+        run must fit in 64 bits."""
+        if self._entries is None:
+            assert self._run is not None
+            run_slot, run_count, run_first = self._run
+            if not run_count:
+                self._run = (slot, count, first)
+                return
+            if (slot == run_slot + run_count
+                    and first == run_first + run_count * _FRAME_STEP):
+                self._run = (run_slot, run_count + count, run_first)
+                return
+        entries = self.materialise()
+        if count == 1:
+            entries[slot] = first
+        else:
+            entries[slot:slot + count] = _frames(first, count)
+
+    def clear_from(self, slot: int) -> None:
+        """Zero every leaf entry from ``slot`` on."""
+        if self._entries is None:
+            assert self._run is not None
+            run_slot, run_count, run_first = self._run
+            kept = max(0, min(run_count, slot - run_slot))
+            self._run = (run_slot, kept, run_first)
+        else:
+            self._entries[slot:] = _ZERO_LEAF[slot:]
+
+    def entry(self, slot: int) -> int:
+        """One entry, read without building a pending leaf's array."""
+        if self._entries is not None:
+            return self._entries[slot]
+        assert self._run is not None
+        run_slot, run_count, run_first = self._run
+        if run_slot <= slot < run_slot + run_count:
+            return run_first + (slot - run_slot) * _FRAME_STEP
+        return 0
+
+    def present_map(self) -> bytes:
+        """One byte per entry: 1 where the entry is present."""
+        entries = self._entries
+        if entries is None:
+            assert self._run is not None
+            slot, count, first = self._run
+            if not first & _PRESENT:
+                count = 0
+            return (bytes(slot) + b"\x01" * count
+                    + bytes(ENTRIES_PER_NODE - slot - count))
+        if isinstance(entries, bytearray):
+            return entries.translate(_BIT0)
+        return entries.tobytes()[_LOW_BYTE::8].translate(_BIT0)
 
     def present_count(self) -> int:
-        return sum(1 for e in self.entries if pte_present(e))
+        return self.present_map().count(1)
 
     def iter_present(self) -> Iterator[Tuple[int, int]]:
-        for idx, entry in enumerate(self.entries):
-            if pte_present(entry):
-                yield idx, entry
+        for idx, present in enumerate(self.present_map()):
+            if present:
+                yield idx, self.entry(idx)
 
     def node_count(self) -> int:
         """Nodes in this subtree (memory-overhead accounting)."""
@@ -323,7 +461,7 @@ class PageTable:
             n = len(batch)
             if not holes:
                 node.children[slot:slot + n] = batch
-                node.entries[slot:slot + n] = [flags] * n
+                node.entries[slot:slot + n] = bytes((flags,)) * n
                 linked.extend(range(first, first + n))
                 continue
             for k, leaf in enumerate(batch):
@@ -357,7 +495,7 @@ class PageTable:
                 start, stop = base + ordered[lo], base + ordered[hi - 1] + 1
                 if stop - start == hi - lo:
                     node.children[start:stop] = [None] * (hi - lo)
-                    node.entries[start:stop] = [0] * (hi - lo)
+                    node.entries[start:stop] = bytes(hi - lo)
                 else:
                     for idx in ordered[lo:hi]:
                         node.children[base + idx] = None
@@ -398,31 +536,32 @@ class PageTable:
         """Resolve ``va`` recording the interior entries visited.
 
         Runs once per translation, so the index and flag arithmetic of
-        ``_index``, ``pte_present`` and ``pte_writable`` is inlined.
+        ``_index``, ``pte_present`` and ``pte_writable`` is inlined, and
+        the node storage is read past the ``entries`` property.
         """
         self._check_va(va)
         node = self.root
         path: List[Tuple[int, int]] = []
-        writable = True
+        flags = _WRITABLE   # AND of the entries' bits along the walk
         shift = PAGE_SHIFT + INDEX_BITS * (LEVEL_PGD - 1)
         for level in (LEVEL_PGD, LEVEL_PUD, LEVEL_PMD):
             idx = (va >> shift) & (ENTRIES_PER_NODE - 1)
-            entry = node.entries[idx]
+            entry = node._entries[idx]
             path.append((level, entry))
-            if not entry & _PRESENT:
-                return WalkResult(0, level, path, False)
-            writable = writable and bool(entry & _WRITABLE)
             assert node.children is not None
             child = node.children[idx]
-            if child is None:
+            if not entry & _PRESENT or child is None:
                 return WalkResult(0, level, path, False)
+            flags &= entry
             node = child
             shift -= INDEX_BITS
-        leaf = node.entries[(va >> PAGE_SHIFT) & (ENTRIES_PER_NODE - 1)]
+        entries = node._entries
+        if entries is None:
+            entries = node.materialise()
+        leaf = entries[(va >> PAGE_SHIFT) & (ENTRIES_PER_NODE - 1)]
         if not leaf & _PRESENT:
             return WalkResult(0, LEVEL_PT, path, False)
-        writable = writable and bool(leaf & _WRITABLE)
-        return WalkResult(leaf, LEVEL_PT, path, writable)
+        return WalkResult(leaf, LEVEL_PT, path, bool(flags & leaf))
 
     # -- accounting ---------------------------------------------------------
 

@@ -282,6 +282,38 @@ def test_sim017_scratch_state_is_fine(tmp_path):
     assert not [v for v in vs if v.rule.id == "SIM017"]
 
 
+def test_sim017_closure_rebinding_enclosing_local_is_fine(tmp_path):
+    # ``nonlocal`` names a local of the enclosing def, not a global: a
+    # helper whose closure rebinds its own accumulator stays pure, and
+    # so does the oracle that calls it
+    pkg = write_pkg(tmp_path, {
+        "helpers.py": """
+            def total_of(items):
+                total = 0
+                def add(n):
+                    nonlocal total
+                    total = total + n
+                for item in items:
+                    add(item)
+                return total
+        """,
+        "oracles.py": """
+            from .helpers import total_of
+
+            def check_total(machine):
+                def tally():
+                    nonlocal seen
+                    seen = total_of(machine.items)
+                seen = 0
+                tally()
+                return [] if seen >= 0 else ["negative"]
+        """,
+    })
+    manifest = empty_manifest(oracle_modules=("pkg.oracles",))
+    vs = lint_program(pkg, manifest=manifest, repo_root=tmp_path)
+    assert not [v for v in vs if v.rule.id in ("SIM014", "SIM017")]
+
+
 # ---------------------------------------------------------------------------
 # SIM015: the architecture DAG
 # ---------------------------------------------------------------------------

@@ -312,7 +312,83 @@ class TestSliceFillMatchesReference:
                 else:
                     assert t.set_range(logical, device_page, count,
                                        DEFAULT_PARAMS) == expected
-            assert [None if leaf is None else leaf.entries
+            assert [None if leaf is None else list(leaf.entries)
                     for leaf in t.leaves] == ref.leaves
             assert (t.pages, t.build_cost_ns) == (ref.pages,
                                                   ref.build_cost_ns)
+
+
+_APPEND = st.tuples(st.just("append"), st.integers(1, PAGES_PER_LEAF + 64))
+
+
+def _pending_view(t):
+    """Every leaf's entries, read without building any leaf's array."""
+    return [None if leaf is None
+            else [leaf.entry(slot) for slot in range(PAGES_PER_LEAF)]
+            for leaf in t.leaves]
+
+
+class TestStorageFormsMatchReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 0x3F),
+           st.lists(st.one_of(_RUN, _TRUNCATE, _APPEND), max_size=12))
+    def test_pending_packed_and_reference_agree(self, devid, ops):
+        """Property: the same set_range/truncate_pages sequence gives
+        the same entries, counts and build cost whether the leaves stay
+        pending (never walked), are packed after every step, or are
+        filled a page at a time.  Appends continue the last run on the
+        device, so a pending leaf also grows in place."""
+        pending, packed = FileTable(devid=devid), FileTable(devid=devid)
+        ref = ReferenceTable(devid)
+        next_device_page = 0
+        for op in ops:
+            if op[0] == "truncate":
+                dead = ref.truncate_pages(op[1])
+                assert pending.truncate_pages(op[1]) == dead
+                assert packed.truncate_pages(op[1]) == dead
+            else:
+                if op[0] == "append":
+                    logical, device_page, count = (
+                        ref.pages, next_device_page, op[1])
+                else:
+                    _, logical, device_page, count = op
+                try:
+                    expected = ref.set_range(logical, device_page, count,
+                                             DEFAULT_PARAMS)
+                except ValueError:
+                    for t in (pending, packed):
+                        with pytest.raises(ValueError):
+                            t.set_range(logical, device_page, count,
+                                        DEFAULT_PARAMS)
+                    continue
+                for t in (pending, packed):
+                    assert t.set_range(logical, device_page, count,
+                                       DEFAULT_PARAMS) == expected
+                next_device_page = device_page + count
+            for leaf in packed.leaves:
+                if leaf is not None:
+                    leaf.materialise()
+            count = sum(1 for leaf in ref.leaves if leaf is not None
+                        for entry in leaf if pte_present(entry))
+            for t in (pending, packed):
+                assert _pending_view(t) == ref.leaves
+                assert t.entry_count() == count
+                assert (t.pages, t.build_cost_ns) == (ref.pages,
+                                                      ref.build_cost_ns)
+        assert [None if leaf is None else list(leaf.entries)
+                for leaf in pending.leaves] == ref.leaves
+
+    def test_one_run_per_leaf_stays_pending(self):
+        """Leaf-sized extents, a tail append that continues the last
+        one and a truncate build no leaf array; a walk builds one."""
+        t = build_file_table([(0, 4096, 2 * PAGES_PER_LEAF),
+                              (2 * PAGES_PER_LEAF, 100, 7)],
+                             devid=1, params=DEFAULT_PARAMS)
+        t.set_range(2 * PAGES_PER_LEAF + 7, 107, 3, DEFAULT_PARAMS)
+        t.truncate_pages(2 * PAGES_PER_LEAF + 5)
+        t.check_dense()
+        assert t.entry_count() == t.pages
+        assert [leaf.materialised for leaf in t.leaves] == [False] * 3
+        assert fte_lba(t.leaves[2].entries[4]) == 104
+        assert [leaf.materialised for leaf in t.leaves] == [
+            False, False, True]

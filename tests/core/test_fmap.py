@@ -1,5 +1,8 @@
 """Unit tests for fmap(): attachment, eligibility, warm/cold paths."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro import GiB, Machine
@@ -244,7 +247,7 @@ def test_attachments_hold_exactly_the_present_leaves(m):
         attachments = m.bypassd._attachments[inode.ino]
         assert sorted(attachments) == sorted([owner.pasid, reader.pasid])
         for attachment in attachments.values():
-            assert attachment.attached == present
+            assert attachment.linked_leaves() == sorted(present)
             pt = attachment.proc.aspace.page_table
             for idx in range(attachment.region_leaves):
                 walk = pt.walk(attachment.base_va + idx * PMD_SPAN)
@@ -268,3 +271,46 @@ def test_attachments_hold_exactly_the_present_leaves(m):
     check({0, 1, 2})
     syscall(m.kernel.sys_ftruncate, 0)
     check(set())
+
+
+def test_cold_fmap_host_memory_follows_extents():
+    """A cold fmap of a 1 GiB file keeps its leaves as runs: under 1 B
+    of Python memory per page.  Walking every leaf builds its 4 KiB
+    array of entries: under 9 B per page in all."""
+    m = Machine(capacity_bytes=2 * GiB, memory_bytes=256 << 20,
+                capture_data=False)
+    proc = m.spawn_process()
+    t = proc.new_thread()
+    size = 1 * GiB
+    pages = size // 4096
+
+    def create():
+        fd = yield from m.kernel.sys_open(proc, t, "/big",
+                                          O_RDWR | O_CREAT | O_DIRECT)
+        yield from m.kernel.sys_fallocate(proc, t, fd, 0, size)
+        yield from m.kernel.sys_close(proc, t, fd)
+
+    def fmap():
+        fd = yield from m.kernel.sys_open(proc, t, "/big", O_RDWR | O_DIRECT,
+                                          bypass_intent=True)
+        return (yield from m.kernel.sys_fmap(proc, t, fd))
+
+    m.run_process(create())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        vba = m.run_process(fmap())
+        cold_peak = tracemalloc.get_traced_memory()[1] - base
+        table = m.fs.lookup("/big").file_table
+        assert len(table.leaves) == size // PMD_SPAN
+        assert not any(leaf.materialised for leaf in table.leaves)
+        pt = proc.aspace.page_table
+        for idx in range(len(table.leaves)):
+            assert pt.walk(vba + idx * PMD_SPAN).is_fte
+        walked_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(leaf.materialised for leaf in table.leaves)
+    assert cold_peak <= pages
+    assert walked_peak <= 9 * pages
